@@ -9,7 +9,7 @@
 //! cargo run --release -p pmlp-bench --bin campaign -- \
 //!     [datasets|all] [full|quick] [seed] [--quick] [--float-accuracy] \
 //!     [--objectives LIST] [--store DIR] [--remote-store URL] [--resume] \
-//!     [--require-warm] [--worker-id ID] [--steal] [--lease-ttl-ms N]
+//!     [--require-warm]
 //!
 //! cargo run --release -p pmlp-bench --bin campaign -- \
 //!     gc [full|quick] [seed] --store DIR
@@ -37,20 +37,12 @@
 //! run fail if anything had to be freshly evaluated — CI uses it to prove
 //! that a store re-run is free.
 //!
-//! With `--worker-id ID` the process joins a *fleet*: instead of computing the
-//! battery statically, it claims one dataset at a time through short-lived
-//! leases in the shared store (`--store` and/or `--remote-store`), so K
-//! workers pointed at the same store split the battery dynamically and each
-//! assembles the full result from the fleet's completion markers. `--steal`
-//! additionally lets it break a crashed peer's *expired* lease and take over
-//! the dataset; `--lease-ttl-ms` tunes how long that takes to kick in.
-//!
 //! The `gc` subcommand garbage-collects a local store directory: it trains
 //! every registry baseline at the given effort/seed to learn the *live*
 //! fingerprints, then deletes record logs (and completion markers) bound to
 //! any other baseline, merges duplicate keys, and compacts oversized logs.
 
-use pmlp_bench::{parse_cli, parse_effort, CliOptions};
+use pmlp_bench::{parse_cli, CliOptions};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::Figure1Experiment;
 use pmlp_core::report::render_campaign_table;
@@ -67,14 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return run_gc(&options);
     }
     let which = options.positional.first().copied().unwrap_or("all");
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let (effort, seed) = options.effort_and_seed(1)?;
 
     let datasets: Vec<UciDataset> = if which.eq_ignore_ascii_case("all") {
         UciDataset::all().to_vec()
@@ -104,7 +89,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durability: options.durability.unwrap_or_default(),
         remote_cooldown_ms: None,
         resume: options.resume,
-        worker: options.worker_options(),
     })
     .with_progress(move |report| {
         eprintln!(
@@ -131,29 +115,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.computed.len(),
             stats.fresh_evaluations
         );
-        if let Some(worker) = &options.worker_id {
-            println!(
-                "worker {worker}: computed {:?}, stole {} expired lease(s){}",
-                stats
-                    .computed
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>(),
-                stats.stolen.len(),
-                if stats.stolen.is_empty() {
-                    String::new()
-                } else {
-                    format!(
-                        " ({:?})",
-                        stats
-                            .stolen
-                            .iter()
-                            .map(|d| d.to_string())
-                            .collect::<Vec<_>>()
-                    )
-                }
-            );
-        }
     }
 
     let dir = Path::new("target")
@@ -182,14 +143,7 @@ fn run_gc(options: &CliOptions<'_>) -> Result<(), Box<dyn std::error::Error>> {
                 .into(),
         );
     };
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let (effort, seed) = options.effort_and_seed(1)?;
 
     // The live fingerprints are the trained registry baselines at this
     // effort/seed — training is exactly what a campaign run does first, so

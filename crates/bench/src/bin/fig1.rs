@@ -25,7 +25,7 @@
 //! fresh. (`--resume` is accepted for symmetry with `campaign`; the sweeps
 //! are stateless, so warm-starting the store is already a resume.)
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure1, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure1, render_headline};
 use pmlp_core::experiment::{headline_summary, Figure1Experiment};
 use pmlp_data::UciDataset;
 
@@ -34,14 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = parse_cli(&args);
     options.validate()?;
     let which = options.positional.first().copied().unwrap_or("all");
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let (effort, seed) = options.effort_and_seed(1)?;
 
     let datasets: Vec<UciDataset> = if which.eq_ignore_ascii_case("all") {
         UciDataset::fig1().to_vec()

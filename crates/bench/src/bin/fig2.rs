@@ -8,8 +8,7 @@
 //! ```text
 //! cargo run --release -p pmlp-bench --bin fig2 -- \
 //!     [dataset] [full|quick] [seed] [--quick] [--objectives LIST] \
-//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm] \
-//!     [--worker-id ID] [--migration-interval N]
+//!     [--store DIR] [--remote-store URL] [--resume] [--require-warm]
 //! ```
 //!
 //! `--quick` anywhere on the command line forces the reduced CI effort.
@@ -27,16 +26,8 @@
 //! *and the GA checkpoint* replicate to the server, so another machine can
 //! resume the search. `--require-warm` fails the run if any evaluation had
 //! to be computed fresh.
-//!
-//! With `--worker-id ID` (plus a store) the GA runs as one **island** of a
-//! distributed fleet: it checkpoints under a per-worker document name,
-//! publishes its elite front to the store every `--migration-interval N`
-//! generations (default 1) and folds in the fronts other islands published.
-//! Start K processes with distinct ids against the same `--remote-store` to
-//! search cooperatively; a single worker with no peers is bit-identical to
-//! the classic checkpointed run.
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_figure2, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_figure2, render_headline};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_data::UciDataset;
 
@@ -50,14 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|name| UciDataset::parse(name))
         .transpose()?
         .unwrap_or(UciDataset::WhiteWine);
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.get(1).copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let (effort, seed) = options.effort_and_seed(1)?;
 
     let start = std::time::Instant::now();
     let mut experiment = Figure2Experiment::new(dataset, effort, seed);
@@ -66,23 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // The backend doubles as the baseline characterization cache: a warm
     // store answers baseline training + synthesis with a single document
-    // read (this is also what makes joining a fleet mid-run cheap).
+    // read.
     let backend = options.open_backend()?;
     let mut engine = experiment.build_engine_cached(backend.as_deref())?;
     if let Some(backend) = backend {
         engine = engine.with_backend(backend)?;
     }
     let result = if engine.store().is_some() {
-        // Islands evolve distinct populations, so each fleet worker
-        // checkpoints under its own name.
-        let checkpoint = match &options.worker_id {
-            Some(worker) => format!(
-                "fig2_{}_{}_nsga2.json",
-                dataset.to_string().to_lowercase(),
-                worker
-            ),
-            None => format!("fig2_{}_nsga2.json", dataset.to_string().to_lowercase()),
-        };
+        let checkpoint = format!("fig2_{}_nsga2.json", dataset.to_string().to_lowercase());
         // Without --resume, any existing checkpoint is discarded: the
         // search recomputes (against the warm store) instead of replaying.
         if !options.resume {
@@ -91,15 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .expect("store attached")
                 .remove_doc(&checkpoint)?;
         }
-        match &options.worker_id {
-            Some(worker) => experiment.run_distributed(
-                &engine,
-                &checkpoint,
-                worker,
-                options.migration_interval.unwrap_or(1),
-            )?,
-            None => experiment.run_with_checkpoint_doc(&engine, &checkpoint)?,
-        }
+        experiment.run_with_checkpoint_doc(&engine, &checkpoint)?
     } else {
         experiment.run_with(&engine)?
     };

@@ -21,7 +21,7 @@
 //! `--remote-store URL` shares all of it through a `pmlp-serve` instance;
 //! `--require-warm` fails the run if anything had to be evaluated fresh.
 
-use pmlp_bench::{parse_cli, parse_effort, persist_json, render_headline};
+use pmlp_bench::{parse_cli, persist_json, render_headline};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::experiment::{headline_combined, Figure2Experiment};
 use pmlp_core::report::{HeadlineRow, TechniqueSummary};
@@ -32,14 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_cli(&args);
     options.validate()?;
-    let effort = options
-        .effort
-        .unwrap_or_else(|| parse_effort(options.positional.first().copied().unwrap_or("full")));
-    let seed: u64 = options
-        .positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let (effort, seed) = options.effort_and_seed(0)?;
 
     let campaign = Campaign::new(CampaignConfig {
         datasets: UciDataset::all().to_vec(),
@@ -54,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         durability: options.durability.unwrap_or_default(),
         remote_cooldown_ms: None,
         resume: options.resume,
-        worker: options.worker_options(),
     });
     let (result, campaign_stats) = campaign.run_with_stats()?;
     let mut rows: Vec<HeadlineRow> = result

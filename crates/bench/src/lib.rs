@@ -9,11 +9,19 @@ use pmlp_core::experiment::{Effort, Figure1Result, Figure2Result};
 use pmlp_core::report::{render_headline_table, HeadlineRow};
 use std::path::{Path, PathBuf};
 
-/// Parses an effort name from the command line (`full`, `quick`).
-pub fn parse_effort(name: &str) -> Effort {
+/// Parses an effort name from the command line (`full`, or `quick` and its
+/// alias `smoke`; case-insensitive).
+///
+/// # Errors
+///
+/// Returns a message naming the accepted values for any other name.
+pub fn parse_effort(name: &str) -> Result<Effort, String> {
     match name.to_ascii_lowercase().as_str() {
-        "quick" | "smoke" => Effort::Quick,
-        _ => Effort::Full,
+        "full" => Ok(Effort::Full),
+        "quick" | "smoke" => Ok(Effort::Quick),
+        _ => Err(format!(
+            "unknown effort '{name}' (expected full, quick or smoke)"
+        )),
     }
 }
 
@@ -69,21 +77,6 @@ pub struct CliOptions<'a> {
     /// from `--drain-timeout-ms N`: how long a stopping server waits for
     /// in-flight requests before abandoning them (default 5s).
     pub drain_timeout_ms: Option<u64>,
-    /// Fleet identity from `--worker-id ID` (or `--worker-id=ID`): runs the
-    /// campaign in lease-based work-stealing worker mode, and switches the
-    /// Fig. 2 GA to island mode (per-worker checkpoint, elite migration
-    /// through the store). Requires a persistence tier.
-    pub worker_id: Option<String>,
-    /// Island migration cadence in generations from `--migration-interval N`
-    /// (default 1 when `--worker-id` is set).
-    pub migration_interval: Option<usize>,
-    /// `--steal`: allow this campaign worker to break another worker's
-    /// *expired* lease and take over its dataset. Off by default — a
-    /// non-stealing worker waits for the peer's completion marker instead.
-    pub steal: bool,
-    /// Campaign lease time-to-live override in milliseconds from
-    /// `--lease-ttl-ms N` (default 30s; the holder renews at a third of it).
-    pub lease_ttl_ms: Option<u64>,
     /// A malformed command line detected during parsing (e.g. `--store`
     /// without a directory); surfaced by [`CliOptions::validate`].
     pub parse_error: Option<String>,
@@ -114,35 +107,31 @@ impl CliOptions<'_> {
         if self.workers == Some(0) {
             return Err("--workers must be positive".into());
         }
-        if self.worker_id.is_some() && !self.has_store() {
-            return Err("--worker-id needs --store DIR and/or --remote-store URL".into());
-        }
-        if self.worker_id.is_none()
-            && (self.steal || self.migration_interval.is_some() || self.lease_ttl_ms.is_some())
-        {
-            return Err(
-                "--steal/--migration-interval/--lease-ttl-ms only make sense with --worker-id"
-                    .into(),
-            );
-        }
-        if self.migration_interval == Some(0) {
-            return Err("--migration-interval must be positive".into());
-        }
-        if self.lease_ttl_ms == Some(0) {
-            return Err("--lease-ttl-ms must be positive".into());
-        }
         Ok(())
     }
 
-    /// Builds the campaign [`WorkerOptions`](pmlp_core::WorkerOptions) the
-    /// parsed flags select, or `None` when `--worker-id` was not given.
-    pub fn worker_options(&self) -> Option<pmlp_core::WorkerOptions> {
-        let id = self.worker_id.as_ref()?;
-        let mut worker = pmlp_core::WorkerOptions::new(id.clone()).with_steal(self.steal);
-        if let Some(ttl) = self.lease_ttl_ms {
-            worker.lease_ttl_ms = ttl;
-        }
-        Some(worker)
+    /// The `[full|quick] [seed]` positionals starting at index `at`: an
+    /// absent effort is full (`--quick`/`--full` override it), an absent seed
+    /// is 42.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown effort name or a seed that is not a
+    /// non-negative integer — a misplaced seed such as `campaign all 43` is
+    /// rejected instead of running seed 42 at full effort.
+    pub fn effort_and_seed(&self, at: usize) -> Result<(Effort, u64), String> {
+        let named = self
+            .positional
+            .get(at)
+            .map(|name| parse_effort(name))
+            .transpose()?;
+        let seed = match self.positional.get(at + 1) {
+            Some(text) => text
+                .parse()
+                .map_err(|_| format!("seed must be a non-negative integer, got '{text}'"))?,
+            None => 42,
+        };
+        Ok((self.effort.or(named).unwrap_or(Effort::Full), seed))
     }
 
     /// `true` when any persistence tier is configured.
@@ -237,27 +226,6 @@ pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
                         Some("--objectives needs a comma-separated objective list".into());
                 }
             },
-            "--worker-id" => match iter.next() {
-                Some(id) if !id.starts_with('-') => options.worker_id = Some(id.clone()),
-                _ => {
-                    options.parse_error = Some("--worker-id needs an identifier argument".into());
-                }
-            },
-            "--migration-interval" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => options.migration_interval = Some(n),
-                _ => {
-                    options.parse_error =
-                        Some("--migration-interval needs a generation count".into());
-                }
-            },
-            "--lease-ttl-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => options.lease_ttl_ms = Some(ms),
-                _ => {
-                    options.parse_error =
-                        Some("--lease-ttl-ms needs a number of milliseconds".into());
-                }
-            },
-            "--steal" => options.steal = true,
             "--resume" => options.resume = true,
             "--require-warm" => options.require_warm = true,
             "--float-accuracy" => options.float_accuracy = true,
@@ -311,29 +279,6 @@ pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
                         Err(_) => {
                             options.parse_error =
                                 Some("--drain-timeout-ms needs a number of milliseconds".into());
-                        }
-                    }
-                } else if let Some(id) = other.strip_prefix("--worker-id=") {
-                    if id.is_empty() {
-                        options.parse_error =
-                            Some("--worker-id= needs a non-empty identifier".into());
-                    } else {
-                        options.worker_id = Some(id.to_string());
-                    }
-                } else if let Some(n) = other.strip_prefix("--migration-interval=") {
-                    match n.parse::<usize>() {
-                        Ok(n) => options.migration_interval = Some(n),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--migration-interval needs a generation count".into());
-                        }
-                    }
-                } else if let Some(ms) = other.strip_prefix("--lease-ttl-ms=") {
-                    match ms.parse::<u64>() {
-                        Ok(ms) => options.lease_ttl_ms = Some(ms),
-                        Err(_) => {
-                            options.parse_error =
-                                Some("--lease-ttl-ms needs a number of milliseconds".into());
                         }
                     }
                 } else {
@@ -426,12 +371,47 @@ pub fn persist_json<T: serde::Serialize>(name: &str, value: &T) {
 mod tests {
     use super::*;
 
+    fn cli(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn effort_parsing_defaults_to_full() {
-        assert_eq!(parse_effort("quick"), Effort::Quick);
-        assert_eq!(parse_effort("SMOKE"), Effort::Quick);
-        assert_eq!(parse_effort("full"), Effort::Full);
-        assert_eq!(parse_effort("anything"), Effort::Full);
+    fn effort_parsing_rejects_unknown_names() {
+        assert_eq!(parse_effort("quick"), Ok(Effort::Quick));
+        assert_eq!(parse_effort("SMOKE"), Ok(Effort::Quick));
+        assert_eq!(parse_effort("full"), Ok(Effort::Full));
+        assert_eq!(parse_effort("Full"), Ok(Effort::Full));
+        for bad in ["anything", "43", "", "fast"] {
+            assert!(parse_effort(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn effort_and_seed_positionals_are_validated() {
+        let parse = |args: &[&str]| parse_cli(&cli(args)).effort_and_seed(1);
+        // The CI invocations keep working.
+        assert_eq!(parse(&["seeds", "--quick"]), Ok((Effort::Quick, 42)));
+        assert_eq!(parse(&["all", "--quick"]), Ok((Effort::Quick, 42)));
+        assert_eq!(parse(&["gc", "--quick"]), Ok((Effort::Quick, 42)));
+        assert_eq!(parse(&["all"]), Ok((Effort::Full, 42)));
+        assert_eq!(parse(&["all", "quick", "7"]), Ok((Effort::Quick, 7)));
+        assert_eq!(parse(&["all", "full", "43"]), Ok((Effort::Full, 43)));
+        // `--quick`/`--full` override a valid effort positional.
+        assert_eq!(parse(&["all", "full", "--quick"]), Ok((Effort::Quick, 42)));
+        // A seed in the effort slot, an unknown effort and an unparseable
+        // seed are errors, not silent defaults.
+        for bad in [
+            vec!["all", "43"],
+            vec!["all", "43", "--quick"],
+            vec!["seeds", "fast"],
+            vec!["all", "quick", "seven"],
+            vec!["all", "quick", "-1"],
+        ] {
+            assert!(parse(&bad).is_err(), "{bad:?} must be rejected");
+        }
+        // The table binary reads its effort from the first positional.
+        let args = cli(&["quick", "9"]);
+        assert_eq!(parse_cli(&args).effort_and_seed(0), Ok((Effort::Quick, 9)));
     }
 
     #[test]
@@ -663,108 +643,6 @@ mod tests {
         for bad in [
             vec!["--drain-timeout-ms"],
             vec!["--drain-timeout-ms", "soon"],
-        ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_cli(&args).validate().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_flags_are_parsed_in_both_forms() {
-        let args: Vec<String> = [
-            "all",
-            "--store",
-            "target/s",
-            "--worker-id",
-            "w1",
-            "--steal",
-            "--migration-interval",
-            "3",
-            "--lease-ttl-ms",
-            "5000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_cli(&args);
-        assert_eq!(options.worker_id.as_deref(), Some("w1"));
-        assert!(options.steal);
-        assert_eq!(options.migration_interval, Some(3));
-        assert_eq!(options.lease_ttl_ms, Some(5000));
-        assert!(options.validate().is_ok());
-        let worker = options.worker_options().expect("worker mode");
-        assert_eq!(worker.id, "w1");
-        assert!(worker.steal);
-        assert_eq!(worker.lease_ttl_ms, 5000);
-
-        let args: Vec<String> = [
-            "--store=target/s",
-            "--worker-id=w2",
-            "--migration-interval=1",
-            "--lease-ttl-ms=100",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let options = parse_cli(&args);
-        assert_eq!(options.worker_id.as_deref(), Some("w2"));
-        assert_eq!(options.migration_interval, Some(1));
-        assert_eq!(options.lease_ttl_ms, Some(100));
-        assert!(!options.steal, "stealing is opt-in");
-        assert!(options.validate().is_ok());
-
-        assert!(parse_cli(&[]).worker_options().is_none());
-    }
-
-    #[test]
-    fn worker_flags_are_validated() {
-        // --worker-id without a persistence tier is rejected.
-        let args: Vec<String> = ["--worker-id", "w1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_cli(&args).validate().is_err());
-
-        // Dependent flags without --worker-id are rejected.
-        for bad in [
-            vec!["--store", "target/s", "--steal"],
-            vec!["--store", "target/s", "--migration-interval", "2"],
-            vec!["--store", "target/s", "--lease-ttl-ms", "100"],
-        ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_cli(&args).validate().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-
-        // Missing values, non-numbers and zeros are rejected.
-        for bad in [
-            vec!["--worker-id"],
-            vec!["--worker-id", "--steal"],
-            vec!["--worker-id="],
-            vec!["--migration-interval", "soon"],
-            vec!["--migration-interval="],
-            vec!["--lease-ttl-ms", "soon"],
-            vec![
-                "--store",
-                "target/s",
-                "--worker-id",
-                "w",
-                "--migration-interval",
-                "0",
-            ],
-            vec![
-                "--store",
-                "target/s",
-                "--worker-id",
-                "w",
-                "--lease-ttl-ms",
-                "0",
-            ],
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(

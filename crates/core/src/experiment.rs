@@ -11,7 +11,7 @@
 use crate::baseline::BaselineConfig;
 use crate::engine::EvalEngine;
 use crate::error::CoreError;
-use crate::nsga2::{IslandOptions, Nsga2, Nsga2Config, SearchResult};
+use crate::nsga2::{Nsga2, Nsga2Config, SearchResult};
 use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{area_gain_at_accuracy_loss, pareto_front_in};
 use crate::report::{FigureSeries, HeadlineRow};
@@ -193,8 +193,8 @@ impl Figure1Experiment {
     /// Like [`Figure1Experiment::build_engine`], but consults (and publishes
     /// to) the baseline characterization cache in `backend` — see
     /// [`BaselineDesign::train_cached`](crate::baseline::BaselineDesign::train_cached).
-    /// A warm cache turns the most expensive part of figure regeneration and
-    /// of stealing a campaign dataset into a single document read.
+    /// A warm cache turns the most expensive part of figure regeneration into
+    /// a single document read.
     ///
     /// # Errors
     ///
@@ -269,16 +269,10 @@ pub struct Figure2Result {
     pub search: SearchResult,
 }
 
-/// Where a Fig. 2 GA checkpoint lives: a file path, a store document, or a
-/// store document plus island-model migration through the same store.
+/// Where a Fig. 2 GA checkpoint lives: a file path or a store document.
 enum CheckpointSpec<'a> {
     File(&'a Path),
     Doc(&'a str),
-    Island {
-        doc: &'a str,
-        worker_id: &'a str,
-        migration_interval: usize,
-    },
 }
 
 /// Driver for Fig. 2.
@@ -414,47 +408,6 @@ impl Figure2Experiment {
         self.run_impl(engine, Some(CheckpointSpec::Doc(doc_name)))
     }
 
-    /// Runs the GA as one **island** of a distributed fleet: the search
-    /// checkpoints to the store document `checkpoint_doc` exactly like
-    /// [`Figure2Experiment::run_with_checkpoint_doc`], and additionally
-    /// publishes its elite front / imports foreign elites through the same
-    /// store every `migration_interval` generations
-    /// ([`Nsga2::run_island`](crate::nsga2::Nsga2::run_island)).
-    ///
-    /// Each worker of a fleet needs a unique `worker_id` **and its own
-    /// checkpoint document** (islands evolve distinct populations); share the
-    /// store backend between them so migrants flow. A single worker run with
-    /// no foreign islands in the store is bit-identical to
-    /// [`Figure2Experiment::run_with_checkpoint_doc`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the engine has no store
-    /// attached, the worker id is not a safe document-name component, or
-    /// `migration_interval` is zero; otherwise see
-    /// [`Figure2Experiment::run_with_checkpoint`].
-    pub fn run_distributed(
-        &self,
-        engine: &EvalEngine,
-        checkpoint_doc: &str,
-        worker_id: &str,
-        migration_interval: usize,
-    ) -> Result<Figure2Result, CoreError> {
-        if engine.store().is_none() {
-            return Err(CoreError::InvalidConfig {
-                context: "run_distributed needs an engine with an attached store".into(),
-            });
-        }
-        self.run_impl(
-            engine,
-            Some(CheckpointSpec::Island {
-                doc: checkpoint_doc,
-                worker_id,
-                migration_interval,
-            }),
-        )
-    }
-
     fn run_impl(
         &self,
         engine: &EvalEngine,
@@ -485,20 +438,6 @@ impl Figure2Experiment {
             Some(CheckpointSpec::Doc(name)) => {
                 let store = engine.store().expect("checked by run_with_checkpoint_doc");
                 searcher.run_resumable_store(engine, store, name, engine.fingerprint())?
-            }
-            Some(CheckpointSpec::Island {
-                doc,
-                worker_id,
-                migration_interval,
-            }) => {
-                let store = engine.store().expect("checked by run_distributed");
-                let island = IslandOptions {
-                    store,
-                    worker_id,
-                    migration_interval,
-                    fingerprint: engine.fingerprint(),
-                };
-                searcher.run_island(engine, &island, doc, engine.fingerprint())?
             }
             None => searcher.run(engine)?,
         };

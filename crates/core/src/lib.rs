@@ -57,13 +57,11 @@ pub mod store;
 pub mod sweep;
 
 pub use baseline::{baseline_doc_name, BaselineConfig, BaselineDesign};
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignResult, CampaignRunStats, DatasetReport, WorkerOptions,
-};
+pub use campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats, DatasetReport};
 pub use engine::{EngineStats, EvalEngine, EvalKey, EvalProgress, Evaluator, FinalizedDesign};
 pub use error::CoreError;
 pub use genome::Genome;
-pub use nsga2::{island_doc_prefix, IslandOptions, Nsga2, Nsga2Config};
+pub use nsga2::{Nsga2, Nsga2Config};
 pub use objective::{
     evaluate_config, AccuracyTier, DesignMetrics, DesignPoint, EvaluationContext, ObjectiveKind,
     ObjectiveSpace, SynthesisTier,

@@ -22,20 +22,6 @@
 //! [`StoreBackend`](crate::store::StoreBackend) document namespace
 //! ([`Nsga2::run_resumable_store`]) — including a remote `pmlp-serve`
 //! instance, so a second machine can pick up an interrupted search.
-//!
-//! ## Island-model fleets
-//!
-//! [`Nsga2::run_island`] turns one searcher into an **island** of a
-//! distributed fleet: every [`IslandOptions::migration_interval`]
-//! generations the worker publishes its current elite front as a store
-//! document (`island_<fingerprint>_<worker>_gen<NNN>.json`) and imports the
-//! fronts other workers have published against the same baseline. Migrants
-//! arrive as fully-measured [`DesignPoint`]s, are deduplicated against
-//! everything this island has already scored (so nothing is ever evaluated
-//! twice across the fleet) and are folded into environmental selection in a
-//! deterministic sorted order. A fleet of one behaves **bit-identically** to
-//! the classic single-process search: with no foreign documents to import,
-//! migration consumes no randomness and adds nothing to the selection pool.
 
 use crate::engine::Evaluator;
 use crate::error::CoreError;
@@ -44,7 +30,7 @@ use crate::objective::{DesignPoint, ObjectiveSpace};
 use crate::pareto::{
     crowding_distances_in, descending_nan_last, non_dominated_ranks_in, pareto_front_in,
 };
-use crate::store::{safe_component, write_atomic, EvalStore};
+use crate::store::{write_atomic, EvalStore};
 use pmlp_minimize::MinimizationConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -151,37 +137,6 @@ pub struct SearchResult {
     pub history: Vec<GenerationStats>,
 }
 
-/// How one worker participates in an island-model fleet: where it publishes
-/// its elite fronts, under what identity, and how often.
-#[derive(Debug)]
-pub struct IslandOptions<'a> {
-    /// The shared store island documents are published to and imported from —
-    /// against a [tiered](crate::store::TieredStore) backend this is the same
-    /// `pmlp-serve` coordination plane the evaluation cache rides, breaker,
-    /// journal and all.
-    pub store: &'a EvalStore,
-    /// This worker's fleet identity: a safe document-name component, unique
-    /// per worker (two workers sharing an id would overwrite each other's
-    /// fronts and import their own migrants).
-    pub worker_id: &'a str,
-    /// Publish the elite front and import foreign ones every this many
-    /// generations (>= 1; `1` migrates every generation).
-    pub migration_interval: usize,
-    /// Baseline fingerprint the island documents are sealed with — pass
-    /// [`EvalEngine::fingerprint`](crate::engine::EvalEngine::fingerprint) so
-    /// fronts measured against one baseline are never imported by a search
-    /// over a retrained one, and so the store GC's live-fingerprint set
-    /// applies to island documents directly.
-    pub fingerprint: u64,
-}
-
-/// The shared document-name prefix of every island front published against
-/// `fingerprint` — what workers list to discover each other, and what the
-/// store GC matches to reap fronts of dead baselines.
-pub fn island_doc_prefix(fingerprint: u64) -> String {
-    format!("island_{fingerprint:016x}_")
-}
-
 /// The hardware-aware NSGA-II searcher.
 #[derive(Debug, Clone)]
 pub struct Nsga2 {
@@ -212,9 +167,9 @@ impl Nsga2 {
     /// evaluation fails.
     pub fn run<E: Evaluator + ?Sized>(&self, evaluator: &E) -> Result<SearchResult, CoreError> {
         self.config.validate()?;
-        let mut state = self.init_state(evaluator, BTreeMap::new())?;
+        let mut state = self.init_state(evaluator)?;
         while state.history.len() < self.config.generations {
-            self.advance(&mut state, evaluator, &[], &mut |_| Ok(()))?;
+            self.advance(&mut state, evaluator, &mut |_| Ok(()))?;
         }
         Ok(state.into_result(&self.config.objectives))
     }
@@ -270,7 +225,7 @@ impl Nsga2 {
         checkpoint: &Path,
         tag: u64,
     ) -> Result<SearchResult, CoreError> {
-        self.run_resumable_impl(evaluator, &CheckpointTarget::File(checkpoint), tag, None)
+        self.run_resumable_impl(evaluator, &CheckpointTarget::File(checkpoint), tag)
     }
 
     /// [`Nsga2::run_resumable_tagged`] with the checkpoint stored as a named
@@ -289,57 +244,7 @@ impl Nsga2 {
         doc_name: &str,
         tag: u64,
     ) -> Result<SearchResult, CoreError> {
-        self.run_resumable_impl(
-            evaluator,
-            &CheckpointTarget::Doc(store, doc_name),
-            tag,
-            None,
-        )
-    }
-
-    /// Runs this searcher as one **island** of a distributed fleet (see the
-    /// [module docs](self) for the migration protocol), checkpointing into
-    /// `checkpoint_doc` on the island's store exactly like
-    /// [`run_resumable_store`](Self::run_resumable_store) — a killed worker
-    /// resumes mid-generation, migrants and all (imported migrants live in
-    /// the checkpointed `seen` set).
-    ///
-    /// With no foreign fronts in the store, the result is bit-identical to
-    /// [`run_resumable_store`](Self::run_resumable_store) — publishing is
-    /// observable to *other* workers but never changes this island's own
-    /// trajectory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the island options are
-    /// degenerate (empty/unsafe worker id, zero migration interval);
-    /// otherwise see [`Nsga2::run_resumable`].
-    pub fn run_island<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        island: &IslandOptions<'_>,
-        checkpoint_doc: &str,
-        tag: u64,
-    ) -> Result<SearchResult, CoreError> {
-        if !safe_component(island.worker_id) {
-            return Err(CoreError::InvalidConfig {
-                context: format!(
-                    "island worker id `{}` is not a safe document-name component",
-                    island.worker_id
-                ),
-            });
-        }
-        if island.migration_interval == 0 {
-            return Err(CoreError::InvalidConfig {
-                context: "island migration_interval must be >= 1".into(),
-            });
-        }
-        self.run_resumable_impl(
-            evaluator,
-            &CheckpointTarget::Doc(island.store, checkpoint_doc),
-            tag,
-            Some(island),
-        )
+        self.run_resumable_impl(evaluator, &CheckpointTarget::Doc(store, doc_name), tag)
     }
 
     fn run_resumable_impl<E: Evaluator + ?Sized>(
@@ -347,148 +252,26 @@ impl Nsga2 {
         evaluator: &E,
         target: &CheckpointTarget<'_>,
         tag: u64,
-        island: Option<&IslandOptions<'_>>,
     ) -> Result<SearchResult, CoreError> {
         self.config.validate()?;
-        // Migrants imported before the first generation they can compete in;
-        // merged into that generation's selection pool.
-        let mut pending_migrants: Vec<DesignPoint> = Vec::new();
         let mut state = match self.load_checkpoint(target, tag) {
             Some(state) => state,
             None => {
-                // A joining island adopts the fleet's progress *before*
-                // paying for its own initial population: any initial genome
-                // the fleet has already measured is answered from the
-                // imported set instead of the evaluator.
-                let mut seen = BTreeMap::new();
-                if let Some(island) = island {
-                    pending_migrants = self.import_migrants(island, &mut seen)?;
-                }
-                let state = self.init_state(evaluator, seen)?;
+                let state = self.init_state(evaluator)?;
                 self.save_checkpoint(target, &state, tag)?;
                 state
             }
         };
         while state.history.len() < self.config.generations {
-            // Refresh imports at migration boundaries, then fold in whatever
-            // is still waiting for its first selection round. Both sets were
-            // deduplicated against `seen` on arrival, so the merge is
-            // disjoint; the re-sort keeps the fold order deterministic.
-            let mut migrants = match island {
-                Some(island) if state.history.len() % island.migration_interval == 0 => {
-                    self.import_migrants(island, &mut state.seen)?
-                }
-                _ => Vec::new(),
-            };
-            migrants.append(&mut pending_migrants);
-            migrants.sort_by_key(|p| config_key(&p.config));
             let mut save = |s: &SearchState| self.save_checkpoint(target, s, tag);
-            self.advance(&mut state, evaluator, &migrants, &mut save)?;
-            if let Some(island) = island {
-                let done = state.history.len();
-                if done % island.migration_interval == 0 || done == self.config.generations {
-                    self.publish_front(island, &state)?;
-                }
-            }
+            self.advance(&mut state, evaluator, &mut save)?;
         }
         Ok(state.into_result(&self.config.objectives))
     }
 
-    /// Lists, reads and filters the fronts other islands have published
-    /// against the same baseline fingerprint: every point this island has not
-    /// already scored is adopted into `state.seen` (so the evaluator is never
-    /// asked to re-measure it) and returned, sorted by dedup key, for the
-    /// caller to fold into environmental selection. Foreign documents that
-    /// fail to read, parse or match the envelope are skipped — migration is
-    /// an accelerant, never a correctness dependency.
-    fn import_migrants(
-        &self,
-        island: &IslandOptions<'_>,
-        seen: &mut BTreeMap<(u8, u32, usize), DesignPoint>,
-    ) -> Result<Vec<DesignPoint>, CoreError> {
-        let prefix = island_doc_prefix(island.fingerprint);
-        let own = format!("{prefix}{}_", island.worker_id);
-        let mut migrants: Vec<DesignPoint> = Vec::new();
-        for name in island.store.list_docs(&prefix)? {
-            if name.starts_with(&own) {
-                continue;
-            }
-            let Some(text) = island.store.get_doc(&name).ok().flatten() else {
-                continue;
-            };
-            let Ok(parsed) = json::parse(&text) else {
-                continue;
-            };
-            let Some(value) = crate::store::check_envelope(
-                &parsed,
-                ISLAND_MAGIC,
-                ISLAND_VERSION,
-                island.fingerprint,
-            ) else {
-                continue;
-            };
-            let Some(front) = value.get("front") else {
-                continue;
-            };
-            let points: Vec<DesignPoint> = match Deserialize::deserialize_value(front) {
-                Ok(points) => points,
-                Err(_) => continue,
-            };
-            migrants.extend(points);
-        }
-        // Deterministic fold: stable key order, first occurrence wins, and
-        // anything this island already knows (own evaluations or earlier
-        // imports) is dropped — the fleet never pays for a design twice.
-        migrants.sort_by_key(|p| config_key(&p.config));
-        migrants.dedup_by_key(|p| config_key(&p.config));
-        migrants.retain(|p| !seen.contains_key(&config_key(&p.config)));
-        for point in &migrants {
-            seen.insert(config_key(&point.config), point.clone());
-        }
-        Ok(migrants)
-    }
-
-    /// Publishes this island's current elite front (the non-dominated set of
-    /// its live population) as a sealed store document named after the
-    /// baseline fingerprint, the worker and the generation. Re-publishing
-    /// after a resume overwrites the same document — idempotent.
-    fn publish_front(
-        &self,
-        island: &IslandOptions<'_>,
-        state: &SearchState,
-    ) -> Result<(), CoreError> {
-        let front = pareto_front_in(&self.config.objectives, &state.evaluated);
-        let name = format!(
-            "{}{}_gen{:03}.json",
-            island_doc_prefix(island.fingerprint),
-            island.worker_id,
-            state.history.len()
-        );
-        let value = crate::store::seal_envelope(
-            ISLAND_MAGIC,
-            ISLAND_VERSION,
-            island.fingerprint,
-            vec![
-                ("worker".into(), Value::String(island.worker_id.to_string())),
-                (
-                    "generation".into(),
-                    Value::Number(state.history.len() as f64),
-                ),
-                ("front".into(), front.serialize_value()),
-            ],
-        );
-        island.store.put_doc(&name, &value.render_pretty())
-    }
-
     /// Seeds and scores the initial population (the state before
-    /// generation 0). `seen` pre-loads the scored set — empty for a classic
-    /// run; an island passes its pre-imported migrants so initial genomes
-    /// the fleet already measured cost nothing.
-    fn init_state<E: Evaluator + ?Sized>(
-        &self,
-        evaluator: &E,
-        seen: BTreeMap<(u8, u32, usize), DesignPoint>,
-    ) -> Result<SearchState, CoreError> {
+    /// generation 0).
+    fn init_state<E: Evaluator + ?Sized>(&self, evaluator: &E) -> Result<SearchState, CoreError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let space = &self.config.space;
 
@@ -500,7 +283,7 @@ impl Nsga2 {
         }
 
         // Every distinct genome this run has scored, in stable key order.
-        let mut seen = seen;
+        let mut seen: BTreeMap<(u8, u32, usize), DesignPoint> = BTreeMap::new();
         let evaluated = self.evaluate_population(evaluator, &population, &mut seen)?;
         Ok(SearchState {
             population,
@@ -516,17 +299,10 @@ impl Nsga2 {
     /// history bookkeeping. `save` commits the state after each step that
     /// either consumes randomness or completes an evaluation batch, bounding
     /// the work a crash can lose to one batch.
-    ///
-    /// `migrants` are already-measured foreign design points (island-model
-    /// imports, pre-deduplicated against `state.seen`) folded into the
-    /// selection pool alongside this generation's offspring; an empty slice
-    /// — every non-island caller — leaves the generation bit-identical to
-    /// the classic single-population search, consuming no extra randomness.
     fn advance<E: Evaluator + ?Sized>(
         &self,
         state: &mut SearchState,
         evaluator: &E,
-        migrants: &[DesignPoint],
         save: &mut dyn FnMut(&SearchState) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
         let generation = state.history.len();
@@ -567,13 +343,6 @@ impl Nsga2 {
         combined_genomes.extend_from_slice(&offspring);
         let mut combined_points = state.evaluated.clone();
         combined_points.extend_from_slice(&offspring_points);
-        // Island migrants compete in environmental selection as first-class
-        // individuals: good foreign elites displace weak locals, bad ones are
-        // truncated away, and either way the population size is preserved.
-        for migrant in migrants {
-            combined_genomes.push(Genome::from_config(&migrant.config));
-            combined_points.push(migrant.clone());
-        }
 
         // Environmental selection: keep the best `population` individuals by
         // (rank, crowding distance). The ordering is NaN-safe — a degenerate
@@ -710,13 +479,6 @@ impl SearchState {
 
 /// Magic string of NSGA-II checkpoint files.
 const CHECKPOINT_MAGIC: &str = "pmlp-nsga2-checkpoint";
-
-/// Magic string of published island-front documents.
-const ISLAND_MAGIC: &str = "pmlp-island-front";
-
-/// Format version of island-front documents; a bump orphans (skips) old
-/// fronts instead of misreading them.
-const ISLAND_VERSION: u32 = 1;
 
 /// Format version of NSGA-II checkpoint files; bumping it orphans (and
 /// overwrites) old checkpoints instead of misreading them. Version 2 added
@@ -1190,221 +952,6 @@ mod tests {
         let replay = classic.run_resumable(&dead, &path).unwrap();
         assert_eq!(replay, first);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Records the dedup key of every configuration that reaches the real
-    /// evaluator — what "this island paid for an evaluation" means.
-    struct TrackingEvaluator {
-        keys: std::sync::Mutex<std::collections::BTreeSet<(u8, u32, usize)>>,
-    }
-
-    impl TrackingEvaluator {
-        fn new() -> Self {
-            TrackingEvaluator {
-                keys: std::sync::Mutex::new(std::collections::BTreeSet::new()),
-            }
-        }
-
-        fn keys(&self) -> std::collections::BTreeSet<(u8, u32, usize)> {
-            self.keys.lock().unwrap().clone()
-        }
-    }
-
-    impl Evaluator for TrackingEvaluator {
-        fn evaluate(&self, config: &MinimizationConfig) -> Result<DesignPoint, CoreError> {
-            self.keys.lock().unwrap().insert(config_key(config));
-            MockEvaluator.evaluate(config)
-        }
-    }
-
-    fn island_store() -> crate::store::EvalStore {
-        use crate::store::{EvalStore, MemoryBackend};
-        EvalStore::with_backend(Box::new(MemoryBackend::new()), "ga", 0).unwrap()
-    }
-
-    #[test]
-    fn island_of_one_is_bit_identical_to_the_classic_search() {
-        let store = island_store();
-        let searcher = mock_search(17, 4);
-        let classic = searcher.run(&MockEvaluator).unwrap();
-        let island = searcher
-            .run_island(
-                &MockEvaluator,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "w0",
-                    migration_interval: 2,
-                    fingerprint: 0xF00D,
-                },
-                "ga_w0.json",
-                0xF00D,
-            )
-            .unwrap();
-        assert_eq!(
-            island, classic,
-            "a fleet of one must reproduce the single-process search exactly"
-        );
-        // The island still published fronts for future workers: one at each
-        // migration boundary (gen 2) and one at the end (gen 4).
-        let published = store.list_docs(&island_doc_prefix(0xF00D)).unwrap();
-        assert_eq!(
-            published,
-            vec![
-                "island_000000000000f00d_w0_gen002.json".to_string(),
-                "island_000000000000f00d_w0_gen004.json".to_string(),
-            ]
-        );
-    }
-
-    #[test]
-    fn two_islands_share_elites_without_duplicate_evaluations() {
-        let store = island_store();
-        let fingerprint = 0xBEEF;
-
-        // Island A runs to completion, publishing its front every generation.
-        let a_eval = TrackingEvaluator::new();
-        let searcher_a = mock_search(3, 4);
-        let result_a = searcher_a
-            .run_island(
-                &a_eval,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "wa",
-                    migration_interval: 1,
-                    fingerprint,
-                },
-                "ga_wa.json",
-                fingerprint,
-            )
-            .unwrap();
-
-        // Island B (different seed => different trajectory) joins afterwards
-        // and imports A's published elites at every migration boundary.
-        let b_eval = TrackingEvaluator::new();
-        let searcher_b = mock_search(4, 4);
-        let result_b = searcher_b
-            .run_island(
-                &b_eval,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "wb",
-                    migration_interval: 1,
-                    fingerprint,
-                },
-                "ga_wb.json",
-                fingerprint,
-            )
-            .unwrap();
-
-        // Zero duplicate evaluations: no configuration A ever published as
-        // an elite was paid for again by B's evaluator — B adopted all of
-        // them (pre-init import) before evaluating anything.
-        let mut published_keys: std::collections::BTreeSet<(u8, u32, usize)> =
-            std::collections::BTreeSet::new();
-        let a_prefix = format!("{}wa_", island_doc_prefix(fingerprint));
-        for name in store.list_docs(&a_prefix).unwrap() {
-            let text = store.get_doc(&name).unwrap().unwrap();
-            let parsed = json::parse(&text).unwrap();
-            let points: Vec<DesignPoint> =
-                Deserialize::deserialize_value(parsed.get("front").unwrap()).unwrap();
-            published_keys.extend(points.iter().map(|p| config_key(&p.config)));
-        }
-        assert!(
-            !published_keys.is_empty(),
-            "island A must have published elite fronts"
-        );
-        let duplicates: Vec<_> = b_eval
-            .keys()
-            .intersection(&published_keys)
-            .copied()
-            .collect();
-        assert!(
-            duplicates.is_empty(),
-            "island B re-evaluated migrated configs: {duplicates:?}"
-        );
-
-        // B actually imported: its scored set contains points it never paid
-        // for itself.
-        let b_all_keys: std::collections::BTreeSet<(u8, u32, usize)> = result_b
-            .all_points
-            .iter()
-            .map(|p| config_key(&p.config))
-            .collect();
-        assert!(
-            b_all_keys.len() > b_eval.keys().len(),
-            "island B's result must include imported migrants"
-        );
-
-        // Convergence: B's final front is non-dominated against A's — the
-        // fleet's combined knowledge is in it.
-        let objectives = ObjectiveSpace::classic();
-        for b in &result_b.pareto_front {
-            for a in &result_a.pareto_front {
-                assert!(
-                    !objectives.dominates(a, b),
-                    "B's front member {b:?} is dominated by A's {a:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn island_options_are_validated() {
-        let store = island_store();
-        let searcher = mock_search(1, 2);
-        let bad_worker = IslandOptions {
-            store: &store,
-            worker_id: "../escape",
-            migration_interval: 1,
-            fingerprint: 1,
-        };
-        assert!(searcher
-            .run_island(&MockEvaluator, &bad_worker, "c.json", 1)
-            .is_err());
-        let zero_interval = IslandOptions {
-            store: &store,
-            worker_id: "w0",
-            migration_interval: 0,
-            fingerprint: 1,
-        };
-        assert!(searcher
-            .run_island(&MockEvaluator, &zero_interval, "c.json", 1)
-            .is_err());
-    }
-
-    #[test]
-    fn foreign_fingerprint_fronts_are_never_imported() {
-        let store = island_store();
-        // A front sealed against another baseline fingerprint sits in the
-        // store under the same naming scheme prefix family.
-        let alien = crate::store::seal_envelope(
-            "pmlp-island-front",
-            1,
-            0xDEAD,
-            vec![("front".into(), Value::Array(vec![]))],
-        );
-        store
-            .put_doc(
-                "island_000000000000dead_wx_gen001.json",
-                &alien.render_pretty(),
-            )
-            .unwrap();
-        let searcher = mock_search(8, 3);
-        let classic = searcher.run(&MockEvaluator).unwrap();
-        let island = searcher
-            .run_island(
-                &MockEvaluator,
-                &IslandOptions {
-                    store: &store,
-                    worker_id: "w0",
-                    migration_interval: 1,
-                    fingerprint: 0xFEED,
-                },
-                "ga_w0.json",
-                0xFEED,
-            )
-            .unwrap();
-        assert_eq!(island, classic, "alien-baseline fronts must be invisible");
     }
 
     #[test]

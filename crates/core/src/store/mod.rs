@@ -86,8 +86,7 @@ pub use codec::{decode_artifacts, encode_artifacts};
 pub use fault::FaultBackend;
 pub use indexed::IndexedBackend;
 pub use jsonl::{
-    gc_store_dir, list_record_logs, now_epoch_ms, DurabilityPolicy, GcPolicy, GcReport,
-    LocalJsonlBackend,
+    gc_store_dir, list_record_logs, DurabilityPolicy, GcPolicy, GcReport, LocalJsonlBackend,
 };
 pub use memory::MemoryBackend;
 pub use remote::{RemoteBackend, RetryPolicy};
@@ -102,6 +101,7 @@ use serde::json::{self, Value};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format version of the store's JSONL record log. Files written under a
 /// different version are ignored (and rewritten) on open, never misparsed.
@@ -178,18 +178,33 @@ impl FingerprintHasher {
 /// crash-interrupted writers) only ever observe the old or the new complete
 /// file, never a torn one.
 ///
+/// Every call writes its own temp file (`<name>.<pid>.<n>.tmp`), so
+/// concurrent writers of one path — two server workers storing the same
+/// completion marker, say — never rename each other's temp file away; the
+/// last rename wins.
+///
 /// # Errors
 ///
 /// Propagates the underlying filesystem errors.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
         }
     }
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = fs::write(&tmp, contents).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 /// Renders a `u64` as the fixed-width hex string used in store headers and
@@ -622,17 +637,6 @@ impl EvalStore {
         self.backend.remove_doc(name)
     }
 
-    /// Lists the names of stored documents starting with `prefix`, sorted —
-    /// how islands discover each other's published elite fronts and workers
-    /// survey the lease board. An empty prefix lists every document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] when the backend fails.
-    pub fn list_docs(&self, prefix: &str) -> Result<Vec<String>, CoreError> {
-        self.backend.list_docs(prefix)
-    }
-
     /// Garbage-collects a local store directory: record logs (and completion
     /// markers) bound to a baseline fingerprint not in `live_fingerprints`
     /// are deleted, duplicate keys are merged, and logs at or above the
@@ -846,6 +850,41 @@ pub(crate) mod tests {
         write_atomic(&path, "second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
         assert!(!path.with_extension("tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_write_atomic_calls_on_one_path_all_succeed() {
+        let dir = temp_dir("atomic-concurrent");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("done_seeds.json");
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        write_atomic(&path, &format!("writer {t} write {i}")).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().expect("every write_atomic call returns Ok");
+        }
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            (0..8).any(|t| (0..200).any(|i| last == format!("writer {t} write {i}"))),
+            "final content must be one complete write, got {last:?}"
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,7 +40,6 @@ fn worker_config(
         durability: Default::default(),
         remote_cooldown_ms: None,
         resume,
-        worker: None,
     }
 }
 
