@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pmlp_data::{load, UciDataset};
 use pmlp_minimize::qat::quantization_aware_train;
 use pmlp_minimize::QatConfig;
-use pmlp_nn::{Activation, Matrix, MlpBuilder, MlpScratch, TrainConfig, Trainer};
+use pmlp_nn::{Activation, Loss, Matrix, MlpBuilder, MlpScratch, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -54,8 +54,9 @@ fn bench_nn_training(c: &mut Criterion) {
     });
 
     // Hot-kernel comparisons: the buffer-reusing `matmul_into` vs the
-    // allocating `matmul`, and the scratch-backed backward (cached-transpose
-    // buffers) vs the allocating one.
+    // allocating `matmul`, at a blocked-kernel shape and at the
+    // register-kernel shapes of one WhiteWine training step (batch 32,
+    // 11-25-5), and one allocation-free gradient computation.
     let a = Matrix::from_vec(
         64,
         32,
@@ -78,6 +79,19 @@ fn bench_nn_training(c: &mut Criterion) {
             black_box(out.as_slice()[0])
         })
     });
+    for (m, k, n) in [(32, 11, 25), (32, 25, 5), (11, 32, 25), (25, 32, 5)] {
+        let left = Matrix::from_vec(m, k, (0..m * k).map(|i| (i % 7) as f32 * 0.3).collect())
+            .expect("left");
+        let right = Matrix::from_vec(k, n, (0..k * n).map(|i| (i % 5) as f32 * 0.2).collect())
+            .expect("right");
+        group.bench_function(&format!("matmul_into_{m}x{k}x{n}"), |b| {
+            let mut out = Matrix::zeros(0, 0);
+            b.iter(|| {
+                left.matmul_into(&right, &mut out).unwrap();
+                black_box(out.as_slice()[0])
+            })
+        });
+    }
 
     let batch = Matrix::from_vec(
         32,
@@ -87,18 +101,13 @@ fn bench_nn_training(c: &mut Criterion) {
             .collect(),
     )
     .expect("batch");
-    let (logits, caches) = mlp.forward_with_caches(&batch).expect("forward");
-    let grad = Matrix::filled(logits.rows(), logits.cols(), 0.01);
-    group.bench_function("backward_alloc_transposes", |b| {
-        b.iter(|| black_box(mlp.backward(&caches, &grad).unwrap().len()))
-    });
-    group.bench_function("backward_cached_transposes", |b| {
+    let labels: Vec<usize> = (0..32).map(|i| i % data.class_count()).collect();
+    group.bench_function("compute_gradients_batch32", |b| {
         let mut scratch = MlpScratch::default();
         b.iter(|| {
             black_box(
-                mlp.backward_with_scratch(&caches, grad.clone(), &mut scratch)
-                    .unwrap()
-                    .len(),
+                mlp.compute_gradients(&batch, &labels, Loss::SoftmaxCrossEntropy, &mut scratch)
+                    .unwrap(),
             )
         })
     });

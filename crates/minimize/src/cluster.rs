@@ -100,13 +100,10 @@ impl ClusterAssignment {
             .sum()
     }
 
-    /// Snaps every weight of `mlp` to its cluster centroid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MinimizeError::InvalidConfig`] when the assignment does not
-    /// match the model shape.
-    pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
+    /// Checks that the assignment covers `mlp` — one entry per layer, per
+    /// input row and per output — and that every entry names a centroid of
+    /// its row.
+    fn check(&self, mlp: &Mlp) -> Result<(), MinimizeError> {
         if mlp.layers().len() != self.assignments.len() {
             return Err(MinimizeError::InvalidConfig {
                 context: format!(
@@ -117,9 +114,9 @@ impl ClusterAssignment {
             });
         }
         for (layer, (assign, centroids)) in mlp
-            .layers_mut()
-            .iter_mut()
-            .zip(self.assignments.iter().zip(self.centroids.iter()))
+            .layers()
+            .iter()
+            .zip(self.assignments.iter().zip(&self.centroids))
         {
             let (inputs, outputs) = layer.weights().shape();
             if assign.len() != inputs || assign.iter().any(|row| row.len() != outputs) {
@@ -127,10 +124,38 @@ impl ClusterAssignment {
                     context: "cluster assignment shape does not match model layer".into(),
                 });
             }
-            for i in 0..inputs {
-                for o in 0..outputs {
-                    let value = centroids[i][assign[i][o]];
-                    layer.weights_mut().set(i, o, value);
+            let names_a_centroid = centroids.len() == inputs
+                && assign
+                    .iter()
+                    .zip(centroids)
+                    .all(|(row, cs)| row.iter().all(|&c| c < cs.len()));
+            if !names_a_centroid {
+                return Err(MinimizeError::InvalidConfig {
+                    context: "cluster assignment names a missing centroid".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Snaps every weight of `mlp` to its cluster centroid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MinimizeError::InvalidConfig`] when the assignment does not
+    /// match the model shape.
+    pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
+        self.check(mlp)?;
+        for (layer, (assign, centroids)) in mlp
+            .layers_mut()
+            .iter_mut()
+            .zip(self.assignments.iter().zip(&self.centroids))
+        {
+            let outputs = layer.outputs();
+            let rows = layer.weights_mut().as_mut_slice().chunks_exact_mut(outputs);
+            for ((row, assign), centroids) in rows.zip(assign).zip(centroids) {
+                for (w, &c) in row.iter_mut().zip(assign) {
+                    *w = centroids[c];
                 }
             }
         }
@@ -145,30 +170,59 @@ impl ClusterAssignment {
     ///
     /// Returns [`MinimizeError::InvalidConfig`] on shape mismatch.
     pub fn refit_and_apply(&mut self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
-        if mlp.layers().len() != self.assignments.len() {
-            return Err(MinimizeError::InvalidConfig {
-                context: "assignment layer count mismatch".into(),
-            });
-        }
-        for (li, layer) in mlp.layers().iter().enumerate() {
-            let (inputs, outputs) = layer.weights().shape();
-            for i in 0..inputs {
-                let k = self.centroids[li][i].len();
-                let mut sums = vec![0.0_f64; k];
-                let mut counts = vec![0usize; k];
-                for o in 0..outputs {
-                    let c = self.assignments[li][i][o];
-                    sums[c] += layer.weights().get(i, o) as f64;
-                    counts[c] += 1;
-                }
-                for c in 0..k {
-                    if counts[c] > 0 {
-                        self.centroids[li][i][c] = (sums[c] / counts[c] as f64) as f32;
+        self.check(mlp)?;
+        self.refit_checked(mlp);
+        Ok(())
+    }
+
+    /// Checks the assignment against `mlp` once and returns the per-batch
+    /// fine-tuning constraint: [`Self::refit_and_apply`] without the check
+    /// and without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MinimizeError::InvalidConfig`] when the assignment does not
+    /// match the model shape.
+    pub fn refit_constraint(
+        &mut self,
+        mlp: &Mlp,
+    ) -> Result<impl FnMut(&mut Mlp) + '_, MinimizeError> {
+        self.check(mlp)?;
+        Ok(move |m: &mut Mlp| self.refit_checked(m))
+    }
+
+    /// [`Self::refit_and_apply`] on a model the assignment was checked
+    /// against. Works on flat weight rows: for every cluster of a row, the
+    /// f64 sum of its weights runs in ascending output order, and the mean
+    /// (when the cluster is not empty) becomes the centroid and the value of
+    /// every weight in the cluster.
+    fn refit_checked(&mut self, mlp: &mut Mlp) {
+        for (layer, (assign, centroids)) in mlp
+            .layers_mut()
+            .iter_mut()
+            .zip(self.assignments.iter().zip(&mut self.centroids))
+        {
+            let outputs = layer.outputs();
+            let rows = layer.weights_mut().as_mut_slice().chunks_exact_mut(outputs);
+            for ((row, assign), centroids) in rows.zip(assign).zip(centroids) {
+                for (c, centroid) in centroids.iter_mut().enumerate() {
+                    let (sum, count) = row
+                        .iter()
+                        .zip(assign)
+                        .filter(|&(_, &a)| a == c)
+                        .fold((0.0_f64, 0usize), |(sum, count), (&w, _)| {
+                            (sum + w as f64, count + 1)
+                        });
+                    if count == 0 {
+                        continue;
+                    }
+                    *centroid = (sum / count as f64) as f32;
+                    for (w, _) in row.iter_mut().zip(assign).filter(|&(_, &a)| a == c) {
+                        *w = *centroid;
                     }
                 }
             }
         }
-        self.apply(mlp)
     }
 }
 
@@ -277,9 +331,7 @@ pub fn cluster_and_fine_tune<R: Rng + ?Sized>(
     let assignment = cluster_weights(mlp, config)?;
     let trainer = Trainer::new(training.clone());
     let mut shared = assignment.clone();
-    let mut constraint = move |m: &mut Mlp| {
-        let _ = shared.refit_and_apply(m);
-    };
+    let mut constraint = shared.refit_constraint(mlp)?;
     let report = trainer.fit_constrained(mlp, train, validation, &mut constraint, rng)?;
     // Produce the final assignment (centroids refit on the trained weights).
     let mut final_assignment = assignment;
@@ -422,6 +474,58 @@ mod tests {
                 .unwrap()
         };
         assert!(assignment.apply(&mut other).is_err());
+    }
+
+    #[test]
+    fn refit_constraint_rejects_mismatched_model() {
+        let mut m = mlp(5);
+        let mut assignment = cluster_weights(&mut m, &ClusteringConfig::new(2)).unwrap();
+        let other = {
+            let mut rng = StdRng::seed_from_u64(7);
+            MlpBuilder::new(5)
+                .hidden(11, Activation::ReLU)
+                .output(3)
+                .build(&mut rng)
+                .unwrap()
+        };
+        assert!(matches!(
+            assignment.refit_constraint(&other).err(),
+            Some(MinimizeError::InvalidConfig { .. })
+        ));
+        assert!(assignment.refit_constraint(&m).is_ok());
+    }
+
+    #[test]
+    fn refit_sets_every_weight_to_its_cluster_mean_bit_for_bit() {
+        let mut m = mlp(6);
+        let mut assignment = cluster_weights(&mut m, &ClusteringConfig::new(3)).unwrap();
+        // Move the weights off their centroids, as an optimizer step does.
+        for layer in m.layers_mut() {
+            for (j, w) in layer.weights_mut().as_mut_slice().iter_mut().enumerate() {
+                *w = *w * 1.1 + (j as f32 * 0.7).sin() * 0.05;
+            }
+        }
+        let before = m.clone();
+        assignment.refit_and_apply(&mut m).unwrap();
+        for (li, layer) in before.layers().iter().enumerate() {
+            let (inputs, outputs) = layer.weights().shape();
+            for i in 0..inputs {
+                let assign = &assignment.assignments[li][i];
+                for o in 0..outputs {
+                    let members: Vec<f64> = (0..outputs)
+                        .filter(|&q| assign[q] == assign[o])
+                        .map(|q| f64::from(layer.weights().get(i, q)))
+                        .collect();
+                    let sum = members.iter().fold(0.0_f64, |acc, &w| acc + w);
+                    let mean = (sum / members.len() as f64) as f32;
+                    assert_eq!(m.layers()[li].weights().get(i, o).to_bits(), mean.to_bits());
+                    assert_eq!(
+                        assignment.centroids(li, i)[assign[o]].to_bits(),
+                        mean.to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,13 +146,9 @@ impl PruningMask {
         self.layers[layer][input * cols + output]
     }
 
-    /// Zeroes every pruned weight of `mlp` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MinimizeError::InvalidConfig`] when the mask shape does not
-    /// match the model.
-    pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
+    /// Checks that the mask covers `mlp`: one entry per weight of every
+    /// layer.
+    fn check(&self, mlp: &Mlp) -> Result<(), MinimizeError> {
         if mlp.layers().len() != self.layers.len() {
             return Err(MinimizeError::InvalidConfig {
                 context: format!(
@@ -162,11 +158,7 @@ impl PruningMask {
                 ),
             });
         }
-        for (layer, (mask, &shape)) in mlp
-            .layers_mut()
-            .iter_mut()
-            .zip(self.layers.iter().zip(self.shapes.iter()))
-        {
+        for (layer, &shape) in mlp.layers().iter().zip(&self.shapes) {
             if layer.weights().shape() != shape {
                 return Err(MinimizeError::InvalidConfig {
                     context: format!(
@@ -176,14 +168,42 @@ impl PruningMask {
                     ),
                 });
             }
-            let slice = layer.weights_mut().as_mut_slice();
-            for (w, &keep) in slice.iter_mut().zip(mask.iter()) {
+        }
+        Ok(())
+    }
+
+    /// Zeroes every pruned weight of `mlp` in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MinimizeError::InvalidConfig`] when the mask shape does not
+    /// match the model.
+    pub fn apply(&self, mlp: &mut Mlp) -> Result<(), MinimizeError> {
+        self.check(mlp)?;
+        self.apply_checked(mlp);
+        Ok(())
+    }
+
+    /// Checks the mask against `mlp` once and returns the per-batch
+    /// fine-tuning constraint: [`Self::apply`] without the check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MinimizeError::InvalidConfig`] when the mask shape does not
+    /// match the model.
+    pub fn constraint(&self, mlp: &Mlp) -> Result<impl FnMut(&mut Mlp) + '_, MinimizeError> {
+        self.check(mlp)?;
+        Ok(move |m: &mut Mlp| self.apply_checked(m))
+    }
+
+    fn apply_checked(&self, mlp: &mut Mlp) {
+        for (layer, mask) in mlp.layers_mut().iter_mut().zip(&self.layers) {
+            for (w, &keep) in layer.weights_mut().as_mut_slice().iter_mut().zip(mask) {
                 if !keep {
                     *w = 0.0;
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -205,12 +225,11 @@ pub fn prune_and_fine_tune<R: Rng + ?Sized>(
     let mask = PruningMask::magnitude_global(mlp, sparsity)?;
     mask.apply(mlp)?;
     let trainer = Trainer::new(training.clone());
-    let mask_for_constraint = mask.clone();
-    let mut constraint = move |m: &mut Mlp| {
+    let report = {
         // Re-zero pruned weights after every optimizer update.
-        let _ = mask_for_constraint.apply(m);
+        let mut constraint = mask.constraint(mlp)?;
+        trainer.fit_constrained(mlp, train, validation, &mut constraint, rng)?
     };
-    let report = trainer.fit_constrained(mlp, train, validation, &mut constraint, rng)?;
     // The best-model restore in the trainer keeps a masked model, but re-apply
     // for belt and braces.
     mask.apply(mlp)?;
@@ -319,6 +338,30 @@ mod tests {
                 .unwrap()
         };
         assert!(mask.apply(&mut other).is_err());
+    }
+
+    #[test]
+    fn constraint_rejects_mismatched_model() {
+        let mask = PruningMask::magnitude_global(&mlp(6), 0.2).unwrap();
+        // Same layer count, different hidden width.
+        let other = {
+            let mut rng = StdRng::seed_from_u64(9);
+            MlpBuilder::new(7)
+                .hidden(11, Activation::ReLU)
+                .output(3)
+                .build(&mut rng)
+                .unwrap()
+        };
+        assert!(matches!(
+            mask.constraint(&other).err(),
+            Some(MinimizeError::InvalidConfig { .. })
+        ));
+        let mut model = mlp(6);
+        let mut constraint = mask.constraint(&model).unwrap();
+        constraint(&mut model);
+        let mut expected = mlp(6);
+        mask.apply(&mut expected).unwrap();
+        assert_eq!(model, expected);
     }
 
     #[test]

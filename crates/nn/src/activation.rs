@@ -100,15 +100,6 @@ impl Activation {
         m.map(|x| self.apply(x))
     }
 
-    /// Applies the activation to every element in place (allocation-free
-    /// variant used by the batched inference path).
-    pub fn apply_matrix_inplace(self, m: &mut Matrix) {
-        if self == Activation::Identity {
-            return;
-        }
-        m.map_inplace(|x| self.apply(x));
-    }
-
     /// Element-wise derivative over a matrix of pre-activations.
     pub fn derivative_matrix(self, m: &Matrix) -> Matrix {
         m.map(|x| self.derivative(x))
@@ -171,8 +162,14 @@ impl fmt::Display for Activation {
 /// ```
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    softmax_rows_inplace(&mut out);
+    out
+}
+
+/// [`softmax_rows`] in place: replaces every row of `m` by its softmax.
+pub(crate) fn softmax_rows_inplace(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for x in row.iter_mut() {
@@ -185,7 +182,6 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

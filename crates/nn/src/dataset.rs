@@ -211,8 +211,9 @@ impl Dataset {
     }
 
     /// Gathers the samples at `indices` into caller-owned buffers: `features`
-    /// is resized only when the batch geometry changes (the final short batch
-    /// of an epoch), `labels` is cleared and refilled. This is the
+    /// is resized in place (it allocates only when it grows beyond its
+    /// capacity, so the short final batch of an epoch does not reallocate),
+    /// `labels` is cleared and refilled. This is the
     /// allocation-free batch path used by the trainer; it borrows the feature
     /// matrix instead of copying `Vec<Vec<f32>>` rows around.
     ///
@@ -220,9 +221,7 @@ impl Dataset {
     ///
     /// Panics when any index is out of bounds.
     pub fn gather_batch(&self, indices: &[usize], features: &mut Matrix, labels: &mut Vec<usize>) {
-        if features.shape() != (indices.len(), self.feature_count()) {
-            *features = Matrix::zeros(indices.len(), self.feature_count());
-        }
+        features.resize(indices.len(), self.feature_count());
         features.copy_rows_from(&self.features, indices);
         labels.clear();
         labels.extend(indices.iter().map(|&i| self.labels[i]));
@@ -359,6 +358,13 @@ mod tests {
         d.gather_batch(&[0, 2, 3], &mut features, &mut labels);
         assert_eq!(features.as_slice().as_ptr(), capacity_ptr);
         assert_eq!(&features, d.subset(&[0, 2, 3]).features());
+        // So do a shorter batch (the end of an epoch) and a full one after it.
+        d.gather_batch(&[4], &mut features, &mut labels);
+        assert_eq!(features.as_slice().as_ptr(), capacity_ptr);
+        assert_eq!(&features, d.subset(&[4]).features());
+        d.gather_batch(&[9, 8, 0], &mut features, &mut labels);
+        assert_eq!(features.as_slice().as_ptr(), capacity_ptr);
+        assert_eq!(&features, d.subset(&[9, 8, 0]).features());
     }
 
     #[test]

@@ -28,25 +28,33 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct DenseLayer {
     weights: Matrix,
     biases: Vec<f32>,
     activation: Activation,
 }
 
-/// Everything the backward pass needs that was computed during the forward
-/// pass of one layer.
-#[derive(Debug, Clone)]
-pub struct LayerCache {
-    /// The layer input (batch x inputs).
-    pub input: Matrix,
-    /// Pre-activation values `x W + b` (batch x outputs).
-    pub pre_activation: Matrix,
+impl Clone for DenseLayer {
+    fn clone(&self) -> Self {
+        DenseLayer {
+            weights: self.weights.clone(),
+            biases: self.biases.clone(),
+            activation: self.activation,
+        }
+    }
+
+    /// Reuses the existing allocations — the trainer copies the best model
+    /// seen into one persistent model.
+    fn clone_from(&mut self, source: &Self) {
+        self.weights.clone_from(&source.weights);
+        self.biases.clone_from(&source.biases);
+        self.activation = source.activation;
+    }
 }
 
 /// Gradients of the loss with respect to one layer's parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerGradient {
     /// Gradient w.r.t. the weight matrix (inputs x outputs).
     pub weights: Matrix,
@@ -54,24 +62,22 @@ pub struct LayerGradient {
     pub biases: Vec<f32>,
 }
 
-/// Reusable per-layer backprop buffers: the transposed weight and input
-/// matrices the backward pass needs every batch. Holding them across steps
-/// (see [`crate::Trainer`]) removes two allocations per layer per batch —
-/// the transposed *values* are recomputed (weights change every update), but
-/// into the same buffers.
-#[derive(Debug, Clone)]
-pub struct BackpropScratch {
-    weights_t: Matrix,
+/// One layer's training buffers, written by [`DenseLayer::forward_train`]
+/// and [`DenseLayer::backward_into`]. The trainer keeps one set per layer
+/// for a whole run (inside [`crate::MlpScratch`]), so a training step
+/// allocates nothing once the buffers have their size.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LayerBuffers {
+    /// Pre-activation values `x W + b` (batch x outputs).
+    pub(crate) pre_activation: Matrix,
+    /// Activations `act(x W + b)` (batch x outputs).
+    pub(crate) output: Matrix,
+    /// Gradient of the loss (batch x outputs): w.r.t. [`Self::output`] on
+    /// entry to [`DenseLayer::backward_into`], w.r.t.
+    /// [`Self::pre_activation`] after it.
+    pub(crate) grad: Matrix,
     input_t: Matrix,
-}
-
-impl Default for BackpropScratch {
-    fn default() -> Self {
-        BackpropScratch {
-            weights_t: Matrix::zeros(0, 0),
-            input_t: Matrix::zeros(0, 0),
-        }
-    }
+    weights_t: Matrix,
 }
 
 impl DenseLayer {
@@ -178,190 +184,116 @@ impl DenseLayer {
 
     /// Forward pass for a batch: `act(x W + b)`.
     ///
-    /// Pure inference path: one matrix product, bias and activation applied
-    /// in place — no cache bookkeeping and no intermediate copies.
-    ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let mut pre = x.matmul(&self.weights)?;
-        pre.add_row_broadcast_inplace(&self.biases)?;
-        self.activation.apply_matrix_inplace(&mut pre);
-        Ok(pre)
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out)?;
+        Ok(out)
     }
 
-    /// Forward pass that also returns the cache needed for backprop.
+    /// Inference forward pass into a caller-owned matrix, reusing its
+    /// allocation: one matrix product, then bias and activation fused into
+    /// one in-place pass.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
-    pub fn forward_with_cache(&self, x: &Matrix) -> Result<(Matrix, LayerCache), NnError> {
-        let mut cache = LayerCache {
-            input: Matrix::zeros(0, 0),
-            pre_activation: Matrix::zeros(0, 0),
-        };
-        let out = self.forward_with_cache_into(x, &mut cache)?;
-        Ok((out, cache))
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        x.matmul_into(&self.weights, out)?;
+        let activation = self.activation;
+        for row in out.as_mut_slice().chunks_exact_mut(self.biases.len()) {
+            for (v, &b) in row.iter_mut().zip(&self.biases) {
+                *v = activation.apply(*v + b);
+            }
+        }
+        Ok(())
     }
 
-    /// Forward pass writing the backprop cache into a caller-owned
-    /// [`LayerCache`], reusing its buffers — the training loop keeps one
-    /// cache per layer alive across batches instead of reallocating the
-    /// input/pre-activation copies every step.
+    /// Training forward pass: writes `x W + b` into
+    /// [`LayerBuffers::pre_activation`] and its activation into
+    /// [`LayerBuffers::output`], with bias and activation fused into one
+    /// pass.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when `x.cols() != self.inputs()`.
-    pub fn forward_with_cache_into(
+    pub(crate) fn forward_train(
         &self,
         x: &Matrix,
-        cache: &mut LayerCache,
-    ) -> Result<Matrix, NnError> {
-        cache.input.clone_from(x);
-        x.matmul_into(&self.weights, &mut cache.pre_activation)?;
-        cache
-            .pre_activation
-            .add_row_broadcast_inplace(&self.biases)?;
-        // Single pass: allocate the activated output directly instead of
-        // cloning the pre-activations and mapping in place.
-        Ok(cache.pre_activation.map(|x| self.activation.apply(x)))
+        buffers: &mut LayerBuffers,
+    ) -> Result<(), NnError> {
+        let pre = &mut buffers.pre_activation;
+        x.matmul_into(&self.weights, pre)?;
+        buffers.output.resize(pre.rows(), pre.cols());
+        let activation = self.activation;
+        let width = self.biases.len();
+        for (pre_row, out_row) in pre
+            .as_mut_slice()
+            .chunks_exact_mut(width)
+            .zip(buffers.output.as_mut_slice().chunks_exact_mut(width))
+        {
+            for ((p, o), &b) in pre_row.iter_mut().zip(out_row).zip(&self.biases) {
+                *p += b;
+                *o = activation.apply(*p);
+            }
+        }
+        Ok(())
     }
 
-    /// Backward pass.
+    /// Backward pass over the buffers of the matching
+    /// [`DenseLayer::forward_train`] call, whose input was `x`.
     ///
-    /// `grad_output` is the gradient of the loss w.r.t. this layer's
-    /// activations; returns the gradient w.r.t. the layer input together with
-    /// the parameter gradients.
+    /// On entry `buffers.grad` holds the gradient of the loss w.r.t. this
+    /// layer's activations. The activation derivative is folded into it in
+    /// place (leaving `dL/dpre`), the parameter gradients are written into
+    /// `gradient`, and, when `grad_input` is given, `dL/dx` is written into
+    /// it. The first layer of a network passes `None`: nothing consumes its
+    /// input gradient, and that product is a quarter of its backward work.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] when `grad_output` does not match the
-    /// cached pre-activation shape.
-    pub fn backward(
+    /// Returns [`NnError::ShapeMismatch`] when `buffers.grad` does not match
+    /// the pre-activation shape or `x` does not match the batch.
+    pub(crate) fn backward_into(
         &self,
-        cache: &LayerCache,
-        grad_output: &Matrix,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        let mut scratch = BackpropScratch::default();
-        self.backward_with_scratch(cache, grad_output.clone(), &mut scratch)
-    }
-
-    /// Backward pass reusing caller-owned transpose buffers.
-    ///
-    /// Identical math to [`DenseLayer::backward`], but the transposed weight
-    /// and input matrices are written into `scratch` instead of freshly
-    /// allocated — the trainer holds one scratch per layer for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when `grad_output` does not match the
-    /// cached pre-activation shape.
-    pub fn backward_with_scratch(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        let (dpre, grads) = self.backward_core(cache, grad_output, scratch)?;
-        // dL/dx = dpre W^T
-        self.weights.transpose_into(&mut scratch.weights_t);
-        let grad_input = dpre.matmul(&scratch.weights_t)?;
-        Ok((grad_input, grads))
-    }
-
-    /// [`DenseLayer::backward_with_scratch`] without the input-gradient
-    /// product — the first layer of a network has no upstream consumer for
-    /// `dL/dx`, and that product is a full quarter of its backward matmul
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DenseLayer::backward_with_scratch`].
-    pub fn backward_params_only(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<LayerGradient, NnError> {
-        Ok(self.backward_core(cache, grad_output, scratch)?.1)
-    }
-
-    /// The shared backward math: validates shapes, fuses the activation
-    /// derivative into the owned gradient in place (yielding `dL/dpre`) and
-    /// computes the parameter gradients.
-    fn backward_core(
-        &self,
-        cache: &LayerCache,
-        grad_output: Matrix,
-        scratch: &mut BackpropScratch,
-    ) -> Result<(Matrix, LayerGradient), NnError> {
-        if grad_output.shape() != cache.pre_activation.shape() {
+        x: &Matrix,
+        buffers: &mut LayerBuffers,
+        gradient: &mut LayerGradient,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let dpre = &mut buffers.grad;
+        if dpre.shape() != buffers.pre_activation.shape() {
             return Err(NnError::ShapeMismatch {
                 context: "dense backward".into(),
-                left: grad_output.shape(),
-                right: cache.pre_activation.shape(),
+                left: dpre.shape(),
+                right: buffers.pre_activation.shape(),
             });
         }
-        // dL/dpre = dL/dout * act'(pre), fused in place into the owned
-        // gradient (the separate derivative matrix + hadamard allocated two
-        // intermediates per batch, plus a clone of the incoming gradient).
-        let mut dpre = grad_output;
+        if x.shape() != (dpre.rows(), self.inputs()) {
+            return Err(NnError::ShapeMismatch {
+                context: "dense backward input".into(),
+                left: x.shape(),
+                right: (dpre.rows(), self.inputs()),
+            });
+        }
+        // dL/dpre = dL/dout * act'(pre), in place.
         for (g, &pre) in dpre
             .as_mut_slice()
             .iter_mut()
-            .zip(cache.pre_activation.as_slice())
+            .zip(buffers.pre_activation.as_slice())
         {
             *g *= self.activation.derivative(pre);
         }
         // dL/dW = x^T dpre ; dL/db = column sums of dpre
-        cache.input.transpose_into(&mut scratch.input_t);
-        let grad_weights = scratch.input_t.matmul(&dpre)?;
-        let grad_biases = dpre.sum_rows();
-        Ok((
-            dpre,
-            LayerGradient {
-                weights: grad_weights,
-                biases: grad_biases,
-            },
-        ))
-    }
-
-    /// Applies a parameter update `p <- p - lr * g` (plain SGD step, used by
-    /// the optimizers in [`crate::optimizer`] after they have transformed the
-    /// raw gradients).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the gradient shapes do not
-    /// match the layer's parameters.
-    pub fn apply_update(&mut self, update: &LayerGradient) -> Result<(), NnError> {
-        if update.weights.shape() != self.weights.shape() {
-            return Err(NnError::ShapeMismatch {
-                context: "weight update".into(),
-                left: update.weights.shape(),
-                right: self.weights.shape(),
-            });
-        }
-        if update.biases.len() != self.biases.len() {
-            return Err(NnError::ShapeMismatch {
-                context: "bias update".into(),
-                left: (1, update.biases.len()),
-                right: (1, self.biases.len()),
-            });
-        }
-        // In place: this runs once per layer per batch, and the allocating
-        // `sub_elem` showed up in training profiles.
-        for (w, u) in self
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(update.weights.as_slice())
-        {
-            *w -= u;
-        }
-        for (b, u) in self.biases.iter_mut().zip(update.biases.iter()) {
-            *b -= u;
+        x.transpose_into(&mut buffers.input_t);
+        buffers.input_t.matmul_into(dpre, &mut gradient.weights)?;
+        dpre.sum_rows_into(&mut gradient.biases);
+        // dL/dx = dpre W^T
+        if let Some(grad_input) = grad_input {
+            self.weights.transpose_into(&mut buffers.weights_t);
+            dpre.matmul_into(&buffers.weights_t, grad_input)?;
         }
         Ok(())
     }
@@ -423,6 +355,19 @@ mod tests {
         assert!(DenseLayer::from_parameters(w, vec![0.0; 2], Activation::ReLU).is_err());
     }
 
+    /// Forward + backward of `l` on `x` with `dL/dout = 1` (i.e.
+    /// `L = sum(y)`); returns the parameter and input gradients.
+    fn sum_loss_gradients(l: &DenseLayer, x: &Matrix) -> (LayerGradient, Matrix) {
+        let mut buffers = LayerBuffers::default();
+        l.forward_train(x, &mut buffers).unwrap();
+        buffers.grad = Matrix::filled(x.rows(), l.outputs(), 1.0);
+        let mut grads = LayerGradient::default();
+        let mut grad_in = Matrix::default();
+        l.backward_into(x, &mut buffers, &mut grads, Some(&mut grad_in))
+            .unwrap();
+        (grads, grad_in)
+    }
+
     #[test]
     fn backward_gradient_matches_finite_difference() {
         // Single sample, identity activation, check dL/dW numerically with
@@ -437,9 +382,8 @@ mod tests {
         )
         .unwrap();
         let x = Matrix::from_rows(&[vec![0.3, -0.7, 0.2]]).unwrap();
-        let (_, cache) = l.forward_with_cache(&x).unwrap();
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (_, grads) = l.backward(&cache, &grad_out).unwrap();
+        let (grads, _) = sum_loss_gradients(&l, &x);
+        assert_eq!(grads.biases, vec![1.0, 1.0]);
 
         let eps = 1e-3_f32;
         for r in 0..3 {
@@ -466,9 +410,7 @@ mod tests {
         let l =
             DenseLayer::new(3, 2, Activation::Tanh, WeightInit::XavierUniform, &mut rng).unwrap();
         let x = Matrix::from_rows(&[vec![0.5, -0.1, 0.9]]).unwrap();
-        let (_, cache) = l.forward_with_cache(&x).unwrap();
-        let grad_out = Matrix::filled(1, 2, 1.0);
-        let (grad_in, _) = l.backward(&cache, &grad_out).unwrap();
+        let (_, grad_in) = sum_loss_gradients(&l, &x);
 
         let eps = 1e-3_f32;
         for c in 0..3 {
@@ -483,26 +425,31 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_moves_parameters_in_negative_gradient_direction() {
-        let w = Matrix::filled(1, 1, 1.0);
-        let mut l = DenseLayer::from_parameters(w, vec![1.0], Activation::Identity).unwrap();
-        let update = LayerGradient {
-            weights: Matrix::filled(1, 1, 0.25),
-            biases: vec![0.5],
-        };
-        l.apply_update(&update).unwrap();
-        assert_eq!(l.weights().get(0, 0), 0.75);
-        assert_eq!(l.biases()[0], 0.5);
+    fn forward_train_matches_forward_bit_for_bit() {
+        let l = layer(4, 3, Activation::Tanh);
+        let x = Matrix::from_rows(&[vec![0.5, -0.1, 0.9, 2.0], vec![-1.0, 0.3, 0.0, 0.7]]).unwrap();
+        let mut buffers = LayerBuffers::default();
+        l.forward_train(&x, &mut buffers).unwrap();
+        assert_eq!(buffers.output, l.forward(&x).unwrap());
+        let pre = x.matmul(l.weights()).unwrap();
+        let pre = pre.add_row_broadcast(l.biases()).unwrap();
+        assert_eq!(buffers.pre_activation, pre);
     }
 
     #[test]
-    fn apply_update_rejects_mismatched_shapes() {
-        let mut l = layer(2, 2, Activation::ReLU);
-        let bad = LayerGradient {
-            weights: Matrix::zeros(3, 2),
-            biases: vec![0.0; 2],
-        };
-        assert!(l.apply_update(&bad).is_err());
+    fn backward_rejects_mismatched_buffers() {
+        let l = layer(2, 2, Activation::ReLU);
+        let x = Matrix::zeros(3, 2);
+        let mut buffers = LayerBuffers::default();
+        l.forward_train(&x, &mut buffers).unwrap();
+        let mut grads = LayerGradient::default();
+        buffers.grad = Matrix::zeros(2, 2);
+        assert!(l.backward_into(&x, &mut buffers, &mut grads, None).is_err());
+        buffers.grad = Matrix::zeros(3, 2);
+        let wrong_x = Matrix::zeros(3, 5);
+        assert!(l
+            .backward_into(&wrong_x, &mut buffers, &mut grads, None)
+            .is_err());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use activation::Activation;
 pub use dataset::Dataset;
 pub use error::NnError;
 pub use init::WeightInit;
-pub use layer::{BackpropScratch, DenseLayer};
+pub use layer::{DenseLayer, LayerGradient};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use metrics::{accuracy, confusion_matrix, macro_f1, ClassificationReport};

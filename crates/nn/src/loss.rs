@@ -1,6 +1,6 @@
 //! Loss functions for classification training.
 
-use crate::activation::softmax_rows;
+use crate::activation::{softmax_rows, softmax_rows_inplace};
 use crate::error::NnError;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -64,55 +64,33 @@ impl Loss {
     ///
     /// Same conditions as [`Loss::compute`].
     pub fn gradient(self, logits: &Matrix, targets: &[usize]) -> Result<Matrix, NnError> {
-        self.validate(logits, targets)?;
-        let n = logits.rows() as f32;
-        match self {
-            Loss::SoftmaxCrossEntropy => {
-                let mut grad = softmax_rows(logits);
-                for (r, &t) in targets.iter().enumerate() {
-                    let v = grad.get(r, t);
-                    grad.set(r, t, v - 1.0);
-                }
-                // In place — same arithmetic as `scale(1.0 / n)` without the
-                // extra per-batch allocation.
-                let inv_n = 1.0 / n;
-                grad.map_inplace(|x| x * inv_n);
-                Ok(grad)
-            }
-            Loss::MeanSquaredError => {
-                let mut grad = logits.clone();
-                for (r, &t) in targets.iter().enumerate() {
-                    for c in 0..logits.cols() {
-                        let target = if c == t { 1.0 } else { 0.0 };
-                        grad.set(r, c, 2.0 * (logits.get(r, c) - target));
-                    }
-                }
-                Ok(grad.scale(1.0 / (n * logits.cols() as f32)))
-            }
-        }
+        let mut grad = Matrix::default();
+        self.loss_and_gradient_into(logits, targets, &mut grad)?;
+        Ok(grad)
     }
 
-    /// Computes the scalar loss *and* its gradient in one pass, sharing the
-    /// softmax (the dominant transcendental cost) between the two — the
-    /// training loop needs both every batch, and computing them separately
-    /// exponentiates every logit twice.
+    /// Computes the scalar loss and writes its gradient w.r.t. the logits
+    /// into `grad`, reusing its allocation. The softmax (the dominant
+    /// transcendental cost) is computed once, in place in `grad`, and shared
+    /// by the two. The training step calls this every batch.
     ///
-    /// Bit-for-bit identical to calling [`Loss::compute`] and
-    /// [`Loss::gradient`] separately.
+    /// Bit-for-bit identical to [`Loss::compute`] and [`Loss::gradient`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`Loss::compute`].
-    pub fn compute_with_gradient(
+    pub(crate) fn loss_and_gradient_into(
         self,
         logits: &Matrix,
         targets: &[usize],
-    ) -> Result<(f32, Matrix), NnError> {
+        grad: &mut Matrix,
+    ) -> Result<f32, NnError> {
         self.validate(logits, targets)?;
         let n = logits.rows() as f32;
+        grad.clone_from(logits);
         match self {
             Loss::SoftmaxCrossEntropy => {
-                let mut grad = softmax_rows(logits);
+                softmax_rows_inplace(grad);
                 let mut total = 0.0;
                 for (r, &t) in targets.iter().enumerate() {
                     let p = grad.get(r, t);
@@ -121,12 +99,19 @@ impl Loss {
                 }
                 let inv_n = 1.0 / n;
                 grad.map_inplace(|x| x * inv_n);
-                Ok((total / n, grad))
+                Ok(total / n)
             }
-            Loss::MeanSquaredError => Ok((
-                self.compute(logits, targets)?,
-                self.gradient(logits, targets)?,
-            )),
+            Loss::MeanSquaredError => {
+                for (r, &t) in targets.iter().enumerate() {
+                    for (c, g) in grad.row_mut(r).iter_mut().enumerate() {
+                        let target = if c == t { 1.0 } else { 0.0 };
+                        *g = 2.0 * (*g - target);
+                    }
+                }
+                let scale = 1.0 / (n * logits.cols() as f32);
+                grad.map_inplace(|x| x * scale);
+                self.compute(logits, targets)
+            }
         }
     }
 
@@ -229,6 +214,22 @@ mod tests {
                 - Loss::MeanSquaredError.compute(&lm, &targets).unwrap())
                 / (2.0 * eps);
             assert!((numeric - grad.get(0, c)).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn loss_and_gradient_into_matches_separate_calls() {
+        let logits = Matrix::from_rows(&[vec![0.2, -0.4, 0.7], vec![3.0, 1.0, -2.0]]).unwrap();
+        let targets = [2usize, 0];
+        for loss in [Loss::SoftmaxCrossEntropy, Loss::MeanSquaredError] {
+            // A stale buffer of the wrong shape is resized and overwritten.
+            let mut grad = Matrix::filled(5, 1, 9.0);
+            let value = loss
+                .loss_and_gradient_into(&logits, &targets, &mut grad)
+                .unwrap();
+            let expected = loss.compute(&logits, &targets).unwrap();
+            assert_eq!(value.to_bits(), expected.to_bits(), "{loss}");
+            assert_eq!(grad, loss.gradient(&logits, &targets).unwrap(), "{loss}");
         }
     }
 

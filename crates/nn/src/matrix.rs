@@ -49,6 +49,14 @@ impl Clone for Matrix {
     }
 }
 
+/// The empty `0 x 0` matrix; it holds no allocation, so persistent buffers
+/// start from it and grow on first use.
+impl Default for Matrix {
+    fn default() -> Self {
+        Matrix::zeros(0, 0)
+    }
+}
+
 impl Matrix {
     /// Creates a matrix of `rows x cols` filled with zeros.
     ///
@@ -272,14 +280,26 @@ impl Matrix {
     /// backprop hot path re-transposes the weight matrix every batch, so
     /// avoiding the per-call allocation matters.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.rows = self.cols;
-        out.cols = self.rows;
-        out.data.clear();
-        out.data.reserve(self.rows * self.cols);
-        for c in 0..self.cols {
-            out.data
-                .extend(self.data.iter().skip(c).step_by(self.cols.max(1)));
+        out.resize(self.cols, self.rows);
+        if self.rows == 0 {
+            return;
         }
+        for (c, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
+            for (r, o) in out_row.iter_mut().enumerate() {
+                *o = self.data[r * self.cols + c];
+            }
+        }
+    }
+
+    /// Reshapes to `rows x cols` in place, reusing the allocation: elements
+    /// keep their flat positions and any new ones are `0.0`. Callers that
+    /// overwrite every element use it to size persistent buffers; it only
+    /// allocates when the matrix grows beyond its capacity.
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data
+            .resize(rows.checked_mul(cols).expect("matrix size overflow"), 0.0);
     }
 
     /// Matrix product `self * other`.
@@ -301,12 +321,16 @@ impl Matrix {
     /// Matrix product `self * other` written into a caller-owned matrix,
     /// reusing its allocation.
     ///
-    /// This is the training hot kernel: a dense `ikj` loop blocked over `k`
-    /// for cache locality (iteration order — and therefore every f32
-    /// rounding — is identical to the naive kernel), with no per-element
-    /// zero test on the left operand, and with rows fanned out over the
-    /// rayon pool for large products. Row results are independent, so the
-    /// parallel and sequential paths are bit-identical.
+    /// This is the training hot kernel. Products with at most 64 inner terms
+    /// and at most 32 output columns — every product of this repository's
+    /// layers (at most 32 inputs, 30 hidden neurons, 10 classes and batches
+    /// of 32) — run a register-accumulator kernel that keeps whole output
+    /// rows in registers, padded to a width of 8, 16 or 32 columns. Larger
+    /// products run a dense `ikj` loop blocked over output columns, with rows
+    /// fanned out over the rayon pool once the product is big enough. Every
+    /// path starts each output element at `0.0` and adds
+    /// `self[i][k] * other[k][j]` in ascending `k`, exactly like the naive
+    /// triple loop, so all paths are bit-identical to it and to each other.
     ///
     /// # Errors
     ///
@@ -319,10 +343,7 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
+        out.resize(self.rows, other.cols);
 
         let flops = self.rows * self.cols * other.cols;
         if flops >= Self::PAR_MATMUL_FLOPS && rayon::current_num_threads() > 1 && self.rows > 1 {
@@ -333,7 +354,7 @@ impl Matrix {
                 .enumerate()
                 .for_each(|(chunk_index, chunk)| {
                     let row0 = chunk_index * rows_per_chunk;
-                    matmul_rows(
+                    matmul_rows_blocked(
                         &self.data[row0 * self.cols..],
                         self.cols,
                         &other.data,
@@ -446,7 +467,7 @@ impl Matrix {
     }
 
     /// Adds a row vector to every row in place (allocation-free counterpart
-    /// of [`Matrix::add_row_broadcast`], used in the batched inference path).
+    /// of [`Matrix::add_row_broadcast`]).
     ///
     /// # Errors
     ///
@@ -490,13 +511,21 @@ impl Matrix {
 
     /// Sums over rows, producing a vector of length `cols`.
     pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
+        let mut out = Vec::new();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] into a caller-owned vector, reusing its
+    /// allocation (the bias gradient of every backward pass).
+    pub(crate) fn sum_rows_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for row in self.iter_rows() {
             for (acc, &v) in out.iter_mut().zip(row.iter()) {
                 *acc += v;
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -548,34 +577,137 @@ impl Matrix {
     /// Index of the maximum value in each row (argmax), ties resolved to the
     /// lowest index.
     pub fn argmax_rows(&self) -> Vec<usize> {
-        self.iter_rows()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
-            .collect()
+        self.iter_rows().map(argmax).collect()
     }
 }
 
-/// Dense row-major product kernel shared by the sequential and row-parallel
-/// paths of [`Matrix::matmul_into`]: `out` holds one or more complete result
-/// rows, `a` points at the first corresponding row of the left operand.
+/// Index of the largest value of `row`, ties resolved to the lowest index;
+/// `0` for an empty row.
+pub(crate) fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
+}
+
+/// Largest inner dimension `k` the register kernels take: they copy the
+/// right operand into a zero-padded stack tile of at most `MAX_TILE_K x 32`.
+const MAX_TILE_K: usize = 64;
+
+/// Sequential product kernel of [`Matrix::matmul_into`]: `out` holds every
+/// result row and `a` the matching rows of the left operand, `a_cols` (`k`)
+/// terms each.
+///
+/// Dispatches on the shape. With `1 <= k <= MAX_TILE_K` and 1 to 32 output
+/// columns, a register-accumulator kernel runs, padded to the next width
+/// `W` in {8, 16, 32} and to the next tile height in {16, 32, 64} (the tile
+/// is zeroed on every call, so a short one costs less). Everything else runs
+/// the blocked kernel.
+fn matmul_rows(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
+    let fitted = match a_cols {
+        1..=16 => matmul_rows_fitted::<16>(a, a_cols, b, b_cols, out),
+        17..=32 => matmul_rows_fitted::<32>(a, a_cols, b, b_cols, out),
+        33..=MAX_TILE_K => matmul_rows_fitted::<MAX_TILE_K>(a, a_cols, b, b_cols, out),
+        _ => false,
+    };
+    if !fitted {
+        matmul_rows_blocked(a, a_cols, b, b_cols, out);
+    }
+}
+
+/// Runs the register kernel of tile height `KT` padded to the output width;
+/// `false` when the output has no columns or more than 32.
+fn matmul_rows_fitted<const KT: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) -> bool {
+    match n {
+        1..=8 => matmul_rows_tile::<8, KT>(a, k, b, n, out),
+        9..=16 => matmul_rows_tile::<16, KT>(a, k, b, n, out),
+        17..=32 => matmul_rows_tile::<32, KT>(a, k, b, n, out),
+        _ => return false,
+    }
+    true
+}
+
+/// Register-accumulator kernel for `0 < k <= KT` and `0 < n <= W`. The
+/// right operand is copied into a `KT x W` stack tile padded with zeros, so
+/// every inner loop has the constant trip count `W` and the whole output row
+/// (four rows when `W == 8`) stays in registers across the full `k` sweep.
+/// Each accumulator starts at `0.0` and adds `a[i][k] * b[k][j]` in
+/// ascending `k`; the padded lanes are discarded.
+fn matmul_rows_tile<const W: usize, const KT: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut tile = [[0.0_f32; W]; KT];
+    for (t, b_row) in tile.iter_mut().zip(b.chunks_exact(n)) {
+        t[..n].copy_from_slice(b_row);
+    }
+    let tile = &tile[..k];
+
+    let (out, a) = if W == 8 {
+        // Narrow rows leave registers to spare, so four rows share each
+        // load of a tile row.
+        let mut out_quads = out.chunks_exact_mut(4 * n);
+        let mut a_quads = a.chunks_exact(4 * k);
+        for (out4, a4) in (&mut out_quads).zip(&mut a_quads) {
+            let (a0, rest) = a4.split_at(k);
+            let (a1, rest) = rest.split_at(k);
+            let (a2, a3) = rest.split_at(k);
+            let mut acc = [[0.0_f32; W]; 4];
+            for ((((&v0, &v1), &v2), &v3), t) in a0.iter().zip(a1).zip(a2).zip(a3).zip(tile) {
+                for (j, &bv) in t.iter().enumerate() {
+                    acc[0][j] += v0 * bv;
+                    acc[1][j] += v1 * bv;
+                    acc[2][j] += v2 * bv;
+                    acc[3][j] += v3 * bv;
+                }
+            }
+            for (out_row, acc) in out4.chunks_exact_mut(n).zip(&acc) {
+                out_row.copy_from_slice(&acc[..n]);
+            }
+        }
+        (out_quads.into_remainder(), a_quads.remainder())
+    } else {
+        (out, a)
+    };
+    for (out_row, a_row) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        let mut acc = [0.0_f32; W];
+        for (&av, t) in a_row.iter().zip(tile) {
+            for (acc, &bv) in acc.iter_mut().zip(t) {
+                *acc += av * bv;
+            }
+        }
+        out_row.copy_from_slice(&acc[..n]);
+    }
+}
+
+/// Blocked product kernel: the fallback of [`matmul_rows`] for shapes
+/// outside the register kernels' range and the kernel of the row-parallel
+/// path. `out` holds one or more complete result rows (any previous contents
+/// are overwritten), `a` points at the first corresponding row of the left
+/// operand.
 ///
 /// Blocked over output columns so the live `out` stripe stays cache-resident
 /// across the whole `k` sweep. Per output element the accumulation order is
-/// `k` ascending — identical to the naive kernel, so results are bit-for-bit
-/// unchanged — and the dense inner loop carries no per-element zero test, so
-/// it vectorizes.
-fn matmul_rows(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
+/// `k` ascending from `0.0` — identical to the naive kernel — and the dense
+/// inner loop carries no per-element zero test, so it vectorizes.
+fn matmul_rows_blocked(a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
     const J_BLOCK: usize = 512;
+    out.fill(0.0);
     if b_cols == 0 || a_cols == 0 {
         return;
     }
@@ -866,6 +998,149 @@ mod proptests {
     fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         proptest::collection::vec(-10.0f32..10.0, rows * cols)
             .prop_map(move |v| Matrix::from_vec(rows, cols, v).unwrap())
+    }
+
+    /// The reference every product kernel must match bit for bit: a triple
+    /// loop whose accumulator starts at `0.0` and adds `a[i][k] * b[k][j]`
+    /// in ascending `k`.
+    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0_f32;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(actual: &Matrix, expected: &Matrix, context: &str) {
+        assert_eq!(actual.shape(), expected.shape(), "{context}");
+        for (idx, (x, y)) in actual
+            .as_slice()
+            .iter()
+            .zip(expected.as_slice())
+            .enumerate()
+        {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{context}: element {idx}: {x} vs {y}"
+            );
+        }
+    }
+
+    /// Maps a selector and two random draws to an f32 that is, one time in
+    /// four, a signed zero or a (positive or negative) subnormal.
+    fn special_f32(selector: u8, value: f32, mantissa: u32) -> f32 {
+        match selector {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(mantissa),
+            3 => -f32::from_bits(mantissa),
+            _ => value,
+        }
+    }
+
+    fn special_values(len: usize) -> impl Strategy<Value = Vec<f32>> {
+        proptest::collection::vec((0u8..16, -10.0f32..10.0, 1u32..0x0080_0000), len).prop_map(
+            |raw| {
+                raw.into_iter()
+                    .map(|(s, v, m)| special_f32(s, v, m))
+                    .collect()
+            },
+        )
+    }
+
+    /// Row counts around the four-row blocking of the narrowest kernel,
+    /// inner sizes around the tile heights 16/32/64, and output widths
+    /// around the register widths 8/16/32 — every dispatch class and both
+    /// sides of each boundary.
+    const ROWS: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 33];
+    const INNER: [usize; 12] = [1, 2, 5, 11, 16, 17, 31, 32, 33, 64, 65, 90];
+    const COLS: [usize; 13] = [1, 3, 5, 8, 9, 15, 16, 17, 25, 31, 32, 33, 40];
+
+    #[test]
+    fn matmul_into_matches_naive_kernel_at_every_dispatch_boundary() {
+        let value =
+            |i: usize| special_f32((i % 7) as u8, (i as f32 * 0.37).sin() * 3.0, 1 + i as u32);
+        let mut out = Matrix::filled(3, 3, f32::NAN);
+        for &m in &ROWS {
+            for &k in &INNER {
+                for &n in &COLS {
+                    let a = Matrix::from_vec(m, k, (0..m * k).map(value).collect()).unwrap();
+                    let b =
+                        Matrix::from_vec(k, n, (0..k * n).map(|i| value(i + 3)).collect()).unwrap();
+                    a.matmul_into(&b, &mut out).unwrap();
+                    assert_bits_eq(&out, &naive_matmul(&a, &b), &format!("{m}x{k}x{n}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_empty_inner_dimension_is_all_zeros() {
+        let mut out = Matrix::filled(2, 2, 5.0);
+        Matrix::zeros(3, 0)
+            .matmul_into(&Matrix::zeros(0, 4), &mut out)
+            .unwrap();
+        assert_eq!(out, Matrix::zeros(3, 4));
+    }
+
+    #[test]
+    fn row_parallel_product_matches_naive_kernel() {
+        // 1100 x 32 x 30 crosses the rayon threshold of 2^20 multiply-adds.
+        let (m, k, n) = (1100, 32, 30);
+        let a = Matrix::from_vec(
+            m,
+            k,
+            (0..m * k).map(|i| (i % 23) as f32 * 0.13 - 1.0).collect(),
+        )
+        .unwrap();
+        let b = Matrix::from_vec(
+            k,
+            n,
+            (0..k * n).map(|i| (i % 11) as f32 * -0.29 + 0.7).collect(),
+        )
+        .unwrap();
+        assert!(m * k * n >= Matrix::PAR_MATMUL_FLOPS);
+        assert_bits_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b), "parallel");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn matmul_into_matches_naive_kernel_bit_for_bit(
+            shape in (0..ROWS.len(), 0..INNER.len(), 0..COLS.len()),
+            values in special_values(33 * 90 + 90 * 40)
+        ) {
+            let (m, k, n) = (ROWS[shape.0], INNER[shape.1], COLS[shape.2]);
+            let a = Matrix::from_vec(m, k, values[..m * k].to_vec()).unwrap();
+            let b = Matrix::from_vec(k, n, values[m * k..m * k + k * n].to_vec()).unwrap();
+            let mut out = Matrix::filled(40, 40, -1.0);
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_bits_eq(&out, &naive_matmul(&a, &b), &format!("{m}x{k}x{n}"));
+        }
+
+        #[test]
+        fn transpose_into_matches_naive_transpose_bit_for_bit(
+            shape in (0usize..40, 0usize..40),
+            values in special_values(39 * 39)
+        ) {
+            let (rows, cols) = shape;
+            let a = Matrix::from_vec(rows, cols, values[..rows * cols].to_vec()).unwrap();
+            let mut out = Matrix::filled(7, 5, 1.0);
+            a.transpose_into(&mut out);
+            prop_assert_eq!(out.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    prop_assert_eq!(out.get(c, r).to_bits(), a.get(r, c).to_bits());
+                }
+            }
+        }
     }
 
     proptest! {

@@ -4,9 +4,9 @@ use crate::activation::Activation;
 use crate::dataset::Dataset;
 use crate::error::NnError;
 use crate::init::WeightInit;
-use crate::layer::{BackpropScratch, DenseLayer, LayerCache, LayerGradient};
-use crate::matrix::Matrix;
-use crate::metrics;
+use crate::layer::{DenseLayer, LayerBuffers, LayerGradient};
+use crate::loss::Loss;
+use crate::matrix::{argmax, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -36,17 +36,67 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }
 
-/// Reusable per-layer backprop buffers for a whole network; see
-/// [`Mlp::backward_with_scratch`]. Sized lazily on first use, so one
-/// `MlpScratch::default()` serves any model.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.clone(),
+        }
+    }
+
+    /// Reuses every layer's allocations — best-model tracking copies the
+    /// model into one persistent copy whenever validation accuracy improves.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
+}
+
+/// Reusable buffers of one network's training step: per layer, the
+/// pre-activations, activations and gradient buffers, and one
+/// [`LayerGradient`]. The trainer's accuracy passes reuse them too. Sized
+/// lazily on first use, so one `MlpScratch::default()` serves any model;
+/// after the first step of a given shape, [`Mlp::compute_gradients`]
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
-    layers: Vec<BackpropScratch>,
+    layers: Vec<LayerBuffers>,
+    gradients: Vec<LayerGradient>,
+}
+
+impl MlpScratch {
+    /// Parameter gradients of the last [`Mlp::compute_gradients`] call, one
+    /// per layer, input to output.
+    pub fn gradients(&self) -> &[LayerGradient] {
+        &self.gradients
+    }
+
+    /// Mutable gradients, for terms the trainer adds (weight decay).
+    pub(crate) fn gradients_mut(&mut self) -> &mut [LayerGradient] {
+        &mut self.gradients
+    }
+
+    /// Logits of the last forward pass through these buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no pass has run yet.
+    pub(crate) fn logits(&self) -> &Matrix {
+        &self.layers.last().expect("no forward pass has run").output
+    }
+
+    fn fit_to(&mut self, layer_count: usize) {
+        if self.layers.len() != layer_count {
+            self.layers.clear();
+            self.layers.resize_with(layer_count, LayerBuffers::default);
+            self.gradients.clear();
+            self.gradients
+                .resize_with(layer_count, LayerGradient::default);
+        }
+    }
 }
 
 impl Mlp {
@@ -144,131 +194,54 @@ impl Mlp {
         Ok(out)
     }
 
-    /// Forward pass that also returns per-layer caches for backprop.
+    /// One training step's gradients, without allocating: forward pass of
+    /// `x` into `scratch`, `loss` against `targets` and its gradient, then
+    /// the backward pass. The gradients land in
+    /// [`MlpScratch::gradients`]; the batch loss is returned.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] when the input width is wrong.
-    pub fn forward_with_caches(&self, x: &Matrix) -> Result<(Matrix, Vec<LayerCache>), NnError> {
-        let mut caches = Vec::new();
-        let out = self.forward_with_caches_into(x, &mut caches)?;
-        Ok((out, caches))
-    }
-
-    /// Forward pass writing the per-layer backprop caches into caller-owned
-    /// storage, reusing its buffers across calls — the trainer keeps one
-    /// cache vector alive for the whole run instead of reallocating the
-    /// input/pre-activation copies of every layer every batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when the input width is wrong.
-    pub fn forward_with_caches_into(
+    /// Returns [`NnError::ShapeMismatch`] when the input width is wrong, or
+    /// the errors of [`Loss::compute`] for bad targets.
+    pub fn compute_gradients(
         &self,
         x: &Matrix,
-        caches: &mut Vec<LayerCache>,
-    ) -> Result<Matrix, NnError> {
-        if caches.len() != self.layers.len() {
-            caches.clear();
-            caches.resize_with(self.layers.len(), || LayerCache {
-                input: Matrix::zeros(0, 0),
-                pre_activation: Matrix::zeros(0, 0),
-            });
-        }
-        let (first, rest) = self
-            .layers
-            .split_first()
-            .expect("mlp has at least one layer");
-        let (first_cache, rest_caches) = caches
-            .split_first_mut()
-            .expect("cache vector sized to layer count");
-        let mut out = first.forward_with_cache_into(x, first_cache)?;
-        for (layer, cache) in rest.iter().zip(rest_caches.iter_mut()) {
-            out = layer.forward_with_cache_into(&out, cache)?;
-        }
-        Ok(out)
-    }
-
-    /// Backward pass: given the gradient of the loss w.r.t. the logits and the
-    /// caches from [`Mlp::forward_with_caches`], returns one gradient per
-    /// layer (input to output order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes are inconsistent with
-    /// the caches.
-    pub fn backward(
-        &self,
-        caches: &[LayerCache],
-        grad_logits: &Matrix,
-    ) -> Result<Vec<LayerGradient>, NnError> {
-        let mut scratch = MlpScratch::default();
-        self.backward_with_scratch(caches, grad_logits.clone(), &mut scratch)
-    }
-
-    /// Backward pass reusing caller-owned per-layer transpose buffers.
-    ///
-    /// Identical math to [`Mlp::backward`]; the trainer holds one
-    /// [`MlpScratch`] across all batches so the per-layer weight/input
-    /// transposes stop allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] when shapes are inconsistent with
-    /// the caches.
-    pub fn backward_with_scratch(
-        &self,
-        caches: &[LayerCache],
-        grad_logits: Matrix,
+        targets: &[usize],
+        loss: Loss,
         scratch: &mut MlpScratch,
-    ) -> Result<Vec<LayerGradient>, NnError> {
-        if caches.len() != self.layers.len() {
-            return Err(NnError::InvalidConfig {
-                context: format!("{} caches for {} layers", caches.len(), self.layers.len()),
-            });
-        }
-        if scratch.layers.len() != self.layers.len() {
-            scratch.layers.clear();
-            scratch
-                .layers
-                .resize_with(self.layers.len(), BackpropScratch::default);
-        }
-        let mut grads = vec![None; self.layers.len()];
-        let mut grad = grad_logits;
+    ) -> Result<f32, NnError> {
+        self.forward_buffers(x, scratch, DenseLayer::forward_train)?;
+        let last = scratch
+            .layers
+            .last_mut()
+            .expect("mlp has at least one layer");
+        let batch_loss = loss.loss_and_gradient_into(&last.output, targets, &mut last.grad)?;
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            if i == 0 {
-                // Nothing consumes dL/dx of the first layer; skip its
-                // input-gradient matmul entirely.
-                grads[0] =
-                    Some(layer.backward_params_only(&caches[0], grad, &mut scratch.layers[0])?);
-                break;
+            let (before, rest) = scratch.layers.split_at_mut(i);
+            let gradient = &mut scratch.gradients[i];
+            match before.last_mut() {
+                Some(LayerBuffers { output, grad, .. }) => {
+                    layer.backward_into(output, &mut rest[0], gradient, Some(grad))?
+                }
+                None => layer.backward_into(x, &mut rest[0], gradient, None)?,
             }
-            let (grad_input, layer_grad) =
-                layer.backward_with_scratch(&caches[i], grad, &mut scratch.layers[i])?;
-            grads[i] = Some(layer_grad);
-            grad = grad_input;
         }
-        Ok(grads
-            .into_iter()
-            .map(|g| g.expect("all layer gradients filled"))
-            .collect())
+        Ok(batch_loss)
     }
 
-    /// Applies one update per layer (already scaled by the optimizer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] when the number of updates differs
-    /// from the number of layers, or [`NnError::ShapeMismatch`] from the layer
-    /// update itself.
-    pub fn apply_updates(&mut self, updates: &[LayerGradient]) -> Result<(), NnError> {
-        if updates.len() != self.layers.len() {
-            return Err(NnError::InvalidConfig {
-                context: format!("{} updates for {} layers", updates.len(), self.layers.len()),
-            });
-        }
-        for (layer, update) in self.layers.iter_mut().zip(updates.iter()) {
-            layer.apply_update(update)?;
+    /// Runs `step` for every layer, feeding each layer the previous layer's
+    /// [`LayerBuffers::output`] (the first layer gets `x`).
+    fn forward_buffers(
+        &self,
+        x: &Matrix,
+        scratch: &mut MlpScratch,
+        step: impl Fn(&DenseLayer, &Matrix, &mut LayerBuffers) -> Result<(), NnError>,
+    ) -> Result<(), NnError> {
+        scratch.fit_to(self.layers.len());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (before, rest) = scratch.layers.split_at_mut(i);
+            let input = before.last().map_or(x, |prev| &prev.output);
+            step(layer, input, &mut rest[0])?;
         }
         Ok(())
     }
@@ -287,10 +260,30 @@ impl Mlp {
     /// Returns `0.0` when the forward pass fails (wrong feature width), so the
     /// method can be used directly as a fitness value.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        match self.predict(data.features()) {
-            Ok(pred) => metrics::accuracy(&pred, data.labels()),
-            Err(_) => 0.0,
+        self.accuracy_with(data, &mut MlpScratch::default())
+    }
+
+    /// [`Mlp::accuracy`] through caller-owned buffers, allocation-free once
+    /// they have their size — the trainer's per-epoch validation pass.
+    /// Predictions are those of [`Mlp::predict`].
+    pub(crate) fn accuracy_with(&self, data: &Dataset, scratch: &mut MlpScratch) -> f64 {
+        let labels = data.labels();
+        if labels.is_empty()
+            || self
+                .forward_buffers(data.features(), scratch, |layer, x, buffers| {
+                    layer.forward_into(x, &mut buffers.output)
+                })
+                .is_err()
+        {
+            return 0.0;
         }
+        let correct = scratch
+            .logits()
+            .iter_rows()
+            .zip(labels)
+            .filter(|&(row, &label)| argmax(row) == label)
+            .count();
+        correct as f64 / labels.len() as f64
     }
 
     /// Collects every weight of the network into a flat vector
@@ -528,18 +521,31 @@ mod tests {
     fn backward_returns_one_gradient_per_layer() {
         let mlp = tiny_mlp();
         let x = Matrix::zeros(2, 3);
-        let (logits, caches) = mlp.forward_with_caches(&x).unwrap();
-        let grad = Matrix::filled(logits.rows(), logits.cols(), 0.1);
-        let grads = mlp.backward(&caches, &grad).unwrap();
+        let mut scratch = MlpScratch::default();
+        mlp.compute_gradients(&x, &[0, 1], Loss::SoftmaxCrossEntropy, &mut scratch)
+            .unwrap();
+        let grads = scratch.gradients();
         assert_eq!(grads.len(), 2);
         assert_eq!(grads[0].weights.shape(), (3, 5));
         assert_eq!(grads[1].weights.shape(), (5, 2));
+        assert_eq!(scratch.logits(), &mlp.forward(&x).unwrap());
     }
 
     #[test]
-    fn apply_updates_validates_count() {
-        let mut mlp = tiny_mlp();
-        assert!(mlp.apply_updates(&[]).is_err());
+    fn accuracy_with_matches_predict() {
+        let mlp = tiny_mlp();
+        let rows: Vec<Vec<f32>> = (0..9)
+            .map(|i| vec![i as f32 * 0.3 - 1.0, (i % 3) as f32, -(i as f32) * 0.1])
+            .collect();
+        let labels: Vec<usize> = (0..9).map(|i| i % 2).collect();
+        let data = Dataset::from_rows(rows, labels, 2).unwrap();
+        let predictions = mlp.predict(data.features()).unwrap();
+        let expected = crate::metrics::accuracy(&predictions, data.labels());
+        let mut scratch = MlpScratch::default();
+        assert_eq!(mlp.accuracy_with(&data, &mut scratch), expected);
+        // Again through the same, now sized, buffers.
+        assert_eq!(mlp.accuracy_with(&data, &mut scratch), expected);
+        assert_eq!(mlp.accuracy(&data), expected);
     }
 
     #[test]
@@ -551,21 +557,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn end_to_end_gradient_matches_finite_difference() {
-        use crate::loss::Loss;
         let mut mlp = tiny_mlp();
         let x = Matrix::from_rows(&[vec![0.4, -0.2, 0.8]]).unwrap();
         let targets = [1usize];
-        let (logits, caches) = mlp.forward_with_caches(&x).unwrap();
-        let grad_logits = Loss::SoftmaxCrossEntropy
-            .gradient(&logits, &targets)
+        let mut scratch = MlpScratch::default();
+        mlp.compute_gradients(&x, &targets, Loss::SoftmaxCrossEntropy, &mut scratch)
             .unwrap();
-        let grads = mlp.backward(&caches, &grad_logits).unwrap();
+        let grads = scratch.gradients().to_vec();
 
         let eps = 1e-2_f32;
         // Check a handful of weights in each layer.
-        for li in 0..2 {
+        for (li, grad) in grads.iter().enumerate() {
             let (rows, cols) = mlp.layers()[li].weights().shape();
             for &(r, c) in &[(0usize, 0usize), (rows - 1, cols - 1)] {
                 let orig = mlp.layers()[li].weights().get(r, c);
@@ -579,12 +582,25 @@ mod tests {
                     .unwrap();
                 mlp.layers_mut()[li].weights_mut().set(r, c, orig);
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[li].weights.get(r, c);
+                let analytic = grad.weights.get(r, c);
                 assert!(
                     (numeric - analytic).abs() < 2e-2,
                     "layer {li} weight ({r},{c}): numeric {numeric} vs analytic {analytic}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn clone_from_copies_the_model_exactly() {
+        let source = tiny_mlp();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut target = MlpBuilder::new(3)
+            .hidden(5, Activation::Tanh)
+            .output(2)
+            .build(&mut rng)
+            .unwrap();
+        target.clone_from(&source);
+        assert_eq!(target, source);
     }
 }

@@ -1,24 +1,32 @@
 //! Gradient-descent optimizers.
 //!
-//! An [`Optimizer`] turns raw parameter gradients (one [`LayerGradient`] per
-//! layer) into parameter *updates* that the [`crate::mlp::Mlp`] then subtracts
-//! from its parameters. Keeping the transformation separate from the
-//! application lets the quantization-aware and pruning-aware trainers in
-//! `pmlp-minimize` intercept updates (e.g. to re-apply sparsity masks).
+//! An [`Optimizer`] turns the raw parameter gradients of a training step
+//! (one [`LayerGradient`] per layer) into a parameter update and applies it
+//! to the [`Mlp`] in place, in one pass per layer: no update matrices are
+//! materialised. Weight constraints (pruning masks, cluster snapping,
+//! fake quantization) run after the step; see [`crate::Trainer`].
 
+use crate::error::NnError;
 use crate::layer::LayerGradient;
 use crate::matrix::Matrix;
+use crate::mlp::Mlp;
 use serde::{Deserialize, Serialize};
 
-/// Strategy that converts gradients into parameter updates.
+/// Strategy that updates a network's parameters from its gradients.
 ///
-/// Implementations may carry per-layer state (momentum buffers, Adam moments);
-/// the state is indexed by the layer's position, so one optimizer instance must
-/// only ever be used with a single network.
+/// Implementations may carry per-layer state (momentum buffers, Adam moments)
+/// indexed by the layer's position, so one optimizer instance must only ever
+/// be used with a single network.
 pub trait Optimizer {
-    /// Transforms the raw gradient of layer `layer_index` into the update that
-    /// will be subtracted from the parameters.
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient;
+    /// Applies one update to every layer of `mlp` in place, from the raw
+    /// gradients of one training step (one per layer, input to output).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] when the number of gradients
+    /// differs from the number of layers, and [`NnError::ShapeMismatch`]
+    /// when a gradient's shape differs from its layer's parameters.
+    fn step(&mut self, mlp: &mut Mlp, gradients: &[LayerGradient]) -> Result<(), NnError>;
 
     /// Resets any internal state (momentum buffers etc.).
     fn reset(&mut self);
@@ -30,7 +38,38 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent: `update = lr * grad`.
+/// Checks that `gradients` has one entry per layer of `mlp`, each shaped
+/// like that layer's parameters.
+fn check_gradients(mlp: &Mlp, gradients: &[LayerGradient]) -> Result<(), NnError> {
+    if gradients.len() != mlp.layers().len() {
+        return Err(NnError::InvalidConfig {
+            context: format!(
+                "{} gradients for {} layers",
+                gradients.len(),
+                mlp.layers().len()
+            ),
+        });
+    }
+    for (layer, gradient) in mlp.layers().iter().zip(gradients) {
+        if gradient.weights.shape() != layer.weights().shape() {
+            return Err(NnError::ShapeMismatch {
+                context: "weight gradient".into(),
+                left: gradient.weights.shape(),
+                right: layer.weights().shape(),
+            });
+        }
+        if gradient.biases.len() != layer.biases().len() {
+            return Err(NnError::ShapeMismatch {
+                context: "bias gradient".into(),
+                left: (1, gradient.biases.len()),
+                right: (1, layer.biases().len()),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Plain stochastic gradient descent: `p <- p - lr * grad`.
 ///
 /// # Example
 ///
@@ -58,11 +97,23 @@ impl Default for Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, _layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        LayerGradient {
-            weights: gradient.weights.scale(self.lr),
-            biases: gradient.biases.iter().map(|g| g * self.lr).collect(),
+    fn step(&mut self, mlp: &mut Mlp, gradients: &[LayerGradient]) -> Result<(), NnError> {
+        check_gradients(mlp, gradients)?;
+        let lr = self.lr;
+        for (layer, gradient) in mlp.layers_mut().iter_mut().zip(gradients) {
+            for (w, &g) in layer
+                .weights_mut()
+                .as_mut_slice()
+                .iter_mut()
+                .zip(gradient.weights.as_slice())
+            {
+                *w -= g * lr;
+            }
+            for (b, &g) in layer.biases_mut().iter_mut().zip(&gradient.biases) {
+                *b -= g * lr;
+            }
         }
+        Ok(())
     }
 
     fn reset(&mut self) {}
@@ -76,12 +127,12 @@ impl Optimizer for Sgd {
     }
 }
 
-/// SGD with classical momentum: `v <- mu v + grad; update = lr * v`.
+/// SGD with classical momentum: `v <- mu v + grad; p <- p - lr * v`.
 #[derive(Debug, Clone, Default)]
 pub struct Momentum {
     lr: f32,
     mu: f32,
-    velocity: Vec<Option<LayerGradient>>,
+    velocity: Vec<LayerGradient>,
 }
 
 impl Momentum {
@@ -96,32 +147,41 @@ impl Momentum {
 }
 
 impl Optimizer for Momentum {
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        if self.velocity.len() <= layer_index {
-            self.velocity.resize(layer_index + 1, None);
-        }
-        let new_velocity = match &self.velocity[layer_index] {
-            Some(prev) => LayerGradient {
-                weights: prev
+    fn step(&mut self, mlp: &mut Mlp, gradients: &[LayerGradient]) -> Result<(), NnError> {
+        check_gradients(mlp, gradients)?;
+        let (lr, mu) = (self.lr, self.mu);
+        if self.velocity.is_empty() {
+            // The first velocity is the gradient itself.
+            self.velocity = gradients.to_vec();
+        } else {
+            for (velocity, gradient) in self.velocity.iter_mut().zip(gradients) {
+                for (v, &g) in velocity
                     .weights
-                    .scale(self.mu)
-                    .add_elem(&gradient.weights)
-                    .expect("momentum buffer shape drift"),
-                biases: prev
-                    .biases
-                    .iter()
-                    .zip(gradient.biases.iter())
-                    .map(|(v, g)| self.mu * v + g)
-                    .collect(),
-            },
-            None => gradient.clone(),
-        };
-        let update = LayerGradient {
-            weights: new_velocity.weights.scale(self.lr),
-            biases: new_velocity.biases.iter().map(|v| v * self.lr).collect(),
-        };
-        self.velocity[layer_index] = Some(new_velocity);
-        update
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(gradient.weights.as_slice())
+                {
+                    *v = mu * *v + g;
+                }
+                for (v, &g) in velocity.biases.iter_mut().zip(&gradient.biases) {
+                    *v = mu * *v + g;
+                }
+            }
+        }
+        for (layer, velocity) in mlp.layers_mut().iter_mut().zip(&self.velocity) {
+            for (w, &v) in layer
+                .weights_mut()
+                .as_mut_slice()
+                .iter_mut()
+                .zip(velocity.weights.as_slice())
+            {
+                *w -= v * lr;
+            }
+            for (b, &v) in layer.biases_mut().iter_mut().zip(&velocity.biases) {
+                *b -= v * lr;
+            }
+        }
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -145,8 +205,8 @@ pub struct Adam {
     beta2: f32,
     epsilon: f32,
     t: u64,
-    first_moment: Vec<Option<LayerGradient>>,
-    second_moment: Vec<Option<LayerGradient>>,
+    first_moment: Vec<LayerGradient>,
+    second_moment: Vec<LayerGradient>,
 }
 
 impl Adam {
@@ -168,13 +228,6 @@ impl Adam {
             second_moment: Vec::new(),
         }
     }
-
-    fn ensure_len(&mut self, layer_index: usize) {
-        if self.first_moment.len() <= layer_index {
-            self.first_moment.resize(layer_index + 1, None);
-            self.second_moment.resize(layer_index + 1, None);
-        }
-    }
 }
 
 impl Default for Adam {
@@ -184,91 +237,67 @@ impl Default for Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, layer_index: usize, gradient: &LayerGradient) -> LayerGradient {
-        self.ensure_len(layer_index);
-        // Advance the timestep only once per epoch-step of layer 0 so that all
-        // layers in one backward pass share the same bias correction.
-        if layer_index == 0 {
-            self.t += 1;
+    /// One fused pass per parameter: both moments are updated in place and
+    /// the bias-corrected update `lr * m_hat / (v_hat.sqrt() + eps)` is
+    /// subtracted from the parameter straight away. Every element sees the
+    /// textbook arithmetic in the textbook order.
+    fn step(&mut self, mlp: &mut Mlp, gradients: &[LayerGradient]) -> Result<(), NnError> {
+        check_gradients(mlp, gradients)?;
+        if self.first_moment.is_empty() {
+            let zeros: Vec<LayerGradient> = gradients
+                .iter()
+                .map(|g| LayerGradient {
+                    weights: Matrix::zeros(g.weights.rows(), g.weights.cols()),
+                    biases: vec![0.0; g.biases.len()],
+                })
+                .collect();
+            self.first_moment = zeros.clone();
+            self.second_moment = zeros;
         }
-        let t = self.t.max(1) as f32;
-
-        // Moment buffers are updated in place (hot path: one step per layer
-        // per batch); the arithmetic matches the textbook formulation
-        // exactly, element by element.
-        if self.first_moment[layer_index].is_none() {
-            self.first_moment[layer_index] = Some(LayerGradient {
-                weights: Matrix::zeros(gradient.weights.rows(), gradient.weights.cols()),
-                biases: vec![0.0; gradient.biases.len()],
-            });
-            self.second_moment[layer_index] = Some(LayerGradient {
-                weights: Matrix::zeros(gradient.weights.rows(), gradient.weights.cols()),
-                biases: vec![0.0; gradient.biases.len()],
-            });
-        }
-        let m = self.first_moment[layer_index]
-            .as_mut()
-            .expect("adam m initialized");
-        let v = self.second_moment[layer_index]
-            .as_mut()
-            .expect("adam v initialized");
-        assert_eq!(
-            m.weights.shape(),
-            gradient.weights.shape(),
-            "adam moment shape drift"
-        );
-
+        self.t += 1;
+        let t = self.t as f32;
         let (beta1, beta2) = (self.beta1, self.beta2);
-        for (m, &g) in m
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(gradient.weights.as_slice())
-        {
-            *m = beta1 * *m + (1.0 - beta1) * g;
-        }
-        for (m, &g) in m.biases.iter_mut().zip(gradient.biases.iter()) {
-            *m = beta1 * *m + (1.0 - beta1) * g;
-        }
-        for (v, &g) in v
-            .weights
-            .as_mut_slice()
-            .iter_mut()
-            .zip(gradient.weights.as_slice())
-        {
-            *v = beta2 * *v + (g * g) * (1.0 - beta2);
-        }
-        for (v, &g) in v.biases.iter_mut().zip(gradient.biases.iter()) {
-            *v = beta2 * *v + (1.0 - beta2) * g * g;
-        }
-
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        let lr = self.lr;
-        let eps = self.epsilon;
-        let adamize = |(m, v): (&f32, &f32)| -> f32 {
+        let bias1 = 1.0 - beta1.powf(t);
+        let bias2 = 1.0 - beta2.powf(t);
+        let (lr, eps) = (self.lr, self.epsilon);
+        let adamize = |m: f32, v: f32| -> f32 {
             let m_hat = m / bias1;
             let v_hat = v / bias2;
             lr * m_hat / (v_hat.sqrt() + eps)
         };
 
-        let update_weights = Matrix::from_vec(
-            gradient.weights.rows(),
-            gradient.weights.cols(),
-            m.weights
-                .as_slice()
-                .iter()
-                .zip(v.weights.as_slice())
-                .map(adamize)
-                .collect(),
-        )
-        .expect("adam update shape");
-        let update_biases: Vec<f32> = m.biases.iter().zip(v.biases.iter()).map(adamize).collect();
-
-        LayerGradient {
-            weights: update_weights,
-            biases: update_biases,
+        for (((layer, gradient), m), v) in mlp
+            .layers_mut()
+            .iter_mut()
+            .zip(gradients)
+            .zip(&mut self.first_moment)
+            .zip(&mut self.second_moment)
+        {
+            for (((w, &g), m), v) in layer
+                .weights_mut()
+                .as_mut_slice()
+                .iter_mut()
+                .zip(gradient.weights.as_slice())
+                .zip(m.weights.as_mut_slice())
+                .zip(v.weights.as_mut_slice())
+            {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (g * g) * (1.0 - beta2);
+                *w -= adamize(*m, *v);
+            }
+            for (((b, &g), m), v) in layer
+                .biases_mut()
+                .iter_mut()
+                .zip(&gradient.biases)
+                .zip(&mut m.biases)
+                .zip(&mut v.biases)
+            {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                *b -= adamize(*m, *v);
+            }
         }
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -289,6 +318,25 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
+    use crate::layer::DenseLayer;
+
+    /// A network of `layers` 2x2 layers with every parameter at `value`.
+    fn network(layers: usize, value: f32) -> Mlp {
+        Mlp::from_layers(
+            (0..layers)
+                .map(|_| {
+                    DenseLayer::from_parameters(
+                        Matrix::filled(2, 2, value),
+                        vec![value; 2],
+                        Activation::Identity,
+                    )
+                    .unwrap()
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
 
     fn gradient(value: f32) -> LayerGradient {
         LayerGradient {
@@ -297,64 +345,97 @@ mod tests {
         }
     }
 
+    /// The change one step made to `(weight, bias)` of `layer`.
+    fn moved(before: &Mlp, after: &Mlp, layer: usize) -> (f32, f32) {
+        let (b, a) = (&before.layers()[layer], &after.layers()[layer]);
+        (
+            b.weights().get(0, 0) - a.weights().get(0, 0),
+            b.biases()[0] - a.biases()[0],
+        )
+    }
+
+    /// Runs one step from a copy of `mlp`; returns the parameter change of
+    /// layer 0 and the stepped network.
+    fn step(opt: &mut dyn Optimizer, mlp: &Mlp, grads: &[LayerGradient]) -> ((f32, f32), Mlp) {
+        let mut after = mlp.clone();
+        opt.step(&mut after, grads).unwrap();
+        (moved(mlp, &after, 0), after)
+    }
+
     #[test]
     fn sgd_scales_gradient_by_learning_rate() {
         let mut opt = Sgd::new(0.5);
-        let update = opt.step(0, &gradient(2.0));
-        assert_eq!(update.weights, Matrix::filled(2, 2, 1.0));
-        assert_eq!(update.biases, vec![1.0, 1.0]);
+        let (change, after) = step(&mut opt, &network(1, 3.0), &[gradient(2.0)]);
+        assert_eq!(change, (1.0, 1.0));
+        assert_eq!(after.layers()[0].weights(), &Matrix::filled(2, 2, 2.0));
     }
 
     #[test]
     fn momentum_accumulates_velocity() {
         let mut opt = Momentum::new(1.0, 0.5);
-        let u1 = opt.step(0, &gradient(1.0));
-        let u2 = opt.step(0, &gradient(1.0));
+        let (u1, after) = step(&mut opt, &network(1, 0.0), &[gradient(1.0)]);
+        let (u2, _) = step(&mut opt, &after, &[gradient(1.0)]);
         // v1 = 1, v2 = 0.5*1 + 1 = 1.5
-        assert_eq!(u1.weights.get(0, 0), 1.0);
-        assert_eq!(u2.weights.get(0, 0), 1.5);
+        assert_eq!(u1.0, 1.0);
+        assert_eq!(u2.0, 1.5);
     }
 
     #[test]
     fn momentum_layers_do_not_interfere() {
         let mut opt = Momentum::new(1.0, 0.9);
-        let _ = opt.step(0, &gradient(1.0));
-        let u_layer1 = opt.step(1, &gradient(1.0));
-        // Layer 1 has no prior velocity, so its first update equals the gradient.
-        assert_eq!(u_layer1.weights.get(0, 0), 1.0);
+        let mlp = network(2, 0.0);
+        let mut after = mlp.clone();
+        opt.step(&mut after, &[gradient(1.0), gradient(4.0)])
+            .unwrap();
+        // Each layer's first update is its own gradient.
+        assert_eq!(moved(&mlp, &after, 0), (1.0, 1.0));
+        assert_eq!(moved(&mlp, &after, 1), (4.0, 4.0));
     }
 
     #[test]
     fn momentum_reset_clears_velocity() {
         let mut opt = Momentum::new(1.0, 0.5);
-        let _ = opt.step(0, &gradient(1.0));
+        let (_, after) = step(&mut opt, &network(1, 0.0), &[gradient(1.0)]);
         opt.reset();
-        let u = opt.step(0, &gradient(1.0));
-        assert_eq!(u.weights.get(0, 0), 1.0);
+        let (u, _) = step(&mut opt, &after, &[gradient(1.0)]);
+        assert_eq!(u.0, 1.0);
     }
 
     #[test]
     fn adam_first_step_is_close_to_learning_rate() {
         // With bias correction, the very first Adam update has magnitude ~lr
         // regardless of gradient scale.
-        let mut opt = Adam::new(0.01);
-        let update = opt.step(0, &gradient(5.0));
-        assert!((update.weights.get(0, 0) - 0.01).abs() < 1e-3);
-        let mut opt2 = Adam::new(0.01);
-        let update2 = opt2.step(0, &gradient(0.001));
-        assert!((update2.weights.get(0, 0) - 0.01).abs() < 1e-3);
+        let mlp = network(1, 0.0);
+        let (update, _) = step(&mut Adam::new(0.01), &mlp, &[gradient(5.0)]);
+        assert!((update.0 - 0.01).abs() < 1e-3);
+        let (update2, _) = step(&mut Adam::new(0.01), &mlp, &[gradient(0.001)]);
+        assert!((update2.0 - 0.01).abs() < 1e-3);
     }
 
     #[test]
     fn adam_update_sign_follows_gradient_sign() {
+        let (update, _) = step(&mut Adam::new(0.01), &network(1, 0.0), &[gradient(-3.0)]);
+        assert!(update.0 < 0.0);
+        assert!(update.1 < 0.0);
+    }
+
+    #[test]
+    fn adam_step_matches_textbook_update_bit_for_bit() {
         let mut opt = Adam::new(0.01);
-        let grad = LayerGradient {
-            weights: Matrix::filled(1, 1, -3.0),
-            biases: vec![-3.0],
-        };
-        let update = opt.step(0, &grad);
-        assert!(update.weights.get(0, 0) < 0.0);
-        assert!(update.biases[0] < 0.0);
+        let mut mlp = network(1, 0.25);
+        let grads = [gradient(0.3), gradient(-0.7)];
+        let (mut m, mut v, mut w) = (0.0_f32, 0.0_f32, 0.25_f32);
+        for (t, g) in grads.iter().enumerate() {
+            opt.step(&mut mlp, std::slice::from_ref(g)).unwrap();
+            let g = g.weights.get(0, 0);
+            m = 0.9 * m + (1.0 - 0.9) * g;
+            v = 0.999 * v + (g * g) * (1.0 - 0.999);
+            let t = (t + 1) as f32;
+            let m_hat = m / (1.0 - 0.9_f32.powf(t));
+            let v_hat = v / (1.0 - 0.999_f32.powf(t));
+            w -= 0.01 * m_hat / (v_hat.sqrt() + 1e-8);
+            assert_eq!(mlp.layers()[0].weights().get(0, 0).to_bits(), w.to_bits());
+        }
     }
 
     #[test]
@@ -367,12 +448,56 @@ mod tests {
     #[test]
     fn adam_reset_restores_initial_behaviour() {
         let mut opt = Adam::new(0.01);
-        let first = opt.step(0, &gradient(1.0));
+        let mlp = network(1, 0.0);
+        let (first, mut after) = step(&mut opt, &mlp, &[gradient(1.0)]);
         for _ in 0..5 {
-            let _ = opt.step(0, &gradient(1.0));
+            after = step(&mut opt, &after, &[gradient(1.0)]).1;
         }
         opt.reset();
-        let after_reset = opt.step(0, &gradient(1.0));
-        assert!((first.weights.get(0, 0) - after_reset.weights.get(0, 0)).abs() < 1e-6);
+        let (after_reset, _) = step(&mut opt, &mlp, &[gradient(1.0)]);
+        assert!((first.0 - after_reset.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn step_moves_parameters_in_negative_gradient_direction() {
+        let mut mlp = network(1, 1.0);
+        Sgd::new(1.0)
+            .step(
+                &mut mlp,
+                &[LayerGradient {
+                    weights: Matrix::filled(2, 2, 0.25),
+                    biases: vec![0.5; 2],
+                }],
+            )
+            .unwrap();
+        assert_eq!(mlp.layers()[0].weights().get(0, 0), 0.75);
+        assert_eq!(mlp.layers()[0].biases()[0], 0.5);
+    }
+
+    #[test]
+    fn step_rejects_mismatched_gradient_shapes() {
+        let bad_weights = LayerGradient {
+            weights: Matrix::zeros(3, 2),
+            biases: vec![0.0; 2],
+        };
+        let bad_biases = LayerGradient {
+            weights: Matrix::zeros(2, 2),
+            biases: vec![0.0; 3],
+        };
+        for bad in [bad_weights, bad_biases] {
+            let grads = [bad];
+            assert!(Sgd::new(0.1).step(&mut network(1, 0.0), &grads).is_err());
+            assert!(Momentum::new(0.1, 0.9)
+                .step(&mut network(1, 0.0), &grads)
+                .is_err());
+            assert!(Adam::new(0.1).step(&mut network(1, 0.0), &grads).is_err());
+        }
+    }
+
+    #[test]
+    fn step_validates_gradient_count() {
+        let mut mlp = network(2, 0.0);
+        assert!(Adam::new(0.1).step(&mut mlp, &[gradient(1.0)]).is_err());
+        assert!(Sgd::new(0.1).step(&mut mlp, &[]).is_err());
     }
 }

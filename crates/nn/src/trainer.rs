@@ -5,7 +5,8 @@
 use crate::dataset::Dataset;
 use crate::error::NnError;
 use crate::loss::Loss;
-use crate::mlp::Mlp;
+use crate::matrix::Matrix;
+use crate::mlp::{Mlp, MlpScratch};
 use crate::optimizer::{Adam, Optimizer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -84,14 +85,18 @@ impl TrainConfig {
                 context: format!("learning_rate must be positive, got {}", self.learning_rate),
             });
         }
-        if self.lr_decay <= 0.0 || self.lr_decay > 1.0 {
+        // Written so that NaN fails: every comparison with NaN is false.
+        if !(self.lr_decay > 0.0 && self.lr_decay <= 1.0) {
             return Err(NnError::InvalidConfig {
                 context: format!("lr_decay must be in (0,1], got {}", self.lr_decay),
             });
         }
-        if self.weight_decay < 0.0 {
+        if !(self.weight_decay >= 0.0 && self.weight_decay.is_finite()) {
             return Err(NnError::InvalidConfig {
-                context: format!("weight_decay must be >= 0, got {}", self.weight_decay),
+                context: format!(
+                    "weight_decay must be finite and >= 0, got {}",
+                    self.weight_decay
+                ),
             });
         }
         Ok(())
@@ -191,6 +196,11 @@ impl Trainer {
     /// constraint re-applies the sparsity mask) and clustering fine-tuning
     /// (the constraint snaps weights back onto their shared centroids).
     ///
+    /// A step is [`Mlp::compute_gradients`], the weight-decay term, one
+    /// fused in-place [`Adam`] pass and the constraint. Every buffer is sized
+    /// during the first epoch and reused afterwards, so later epochs make no
+    /// heap allocation of their own (the constraint's are its own business).
+    ///
     /// # Errors
     ///
     /// Returns an error when the configuration is invalid or when dataset and
@@ -226,7 +236,17 @@ impl Trainer {
         }
 
         let mut optimizer = Adam::new(self.config.learning_rate);
-        let mut report = TrainReport::default();
+        let epochs = self.config.epochs;
+        let track_train = self.config.track_train_accuracy || validation.is_none();
+        // Reserved up front so the per-epoch pushes do not reallocate;
+        // bounded, since `epochs` comes from the caller.
+        let history = epochs.min(1 << 16);
+        let mut report = TrainReport {
+            train_loss: Vec::with_capacity(history),
+            train_accuracy: Vec::with_capacity(if track_train { history } else { 0 }),
+            val_accuracy: Vec::with_capacity(if validation.is_some() { history } else { 0 }),
+            ..TrainReport::default()
+        };
         let mut best_accuracy = 0.0_f64;
         let mut best_model = mlp.clone();
         let mut epochs_since_best = 0usize;
@@ -234,45 +254,44 @@ impl Trainer {
         // Ensure the model starts from a constraint-satisfying point.
         constraint.apply(mlp);
 
-        // Reusable hot-loop buffers, all alive for the whole run: one
-        // shuffled index permutation per epoch, one gathered feature/label
-        // batch (reallocated only when the batch geometry changes — the short
-        // final chunk of an epoch), the per-layer forward caches and the
-        // per-layer backprop transpose scratch.
+        // Every buffer of the loop lives for the whole run, so after the
+        // first epoch a run allocates nothing: the shuffled index
+        // permutation, the gathered batch, the model's activation, gradient
+        // and moment buffers (also used by the accuracy passes) and the
+        // best-model copy.
         let batch_size = self.config.batch_size.max(1);
         let mut shuffled: Vec<usize> = Vec::with_capacity(train.len());
-        let mut batch_features = crate::matrix::Matrix::zeros(0, train.feature_count());
+        let mut batch_features = Matrix::zeros(0, train.feature_count());
         let mut batch_labels: Vec<usize> = Vec::with_capacity(batch_size);
-        let mut caches: Vec<crate::layer::LayerCache> = Vec::new();
-        let mut scratch = crate::mlp::MlpScratch::default();
+        let mut scratch = MlpScratch::default();
+        let weight_decay = self.config.weight_decay;
 
-        for epoch in 0..self.config.epochs {
+        for epoch in 0..epochs {
             let mut epoch_loss = 0.0_f32;
             let mut batches = 0usize;
             train.shuffle_indices_into(&mut shuffled, rng);
             for batch in shuffled.chunks(batch_size) {
                 train.gather_batch(batch, &mut batch_features, &mut batch_labels);
-                let logits = mlp.forward_with_caches_into(&batch_features, &mut caches)?;
-                let (batch_loss, grad_logits) = self
-                    .config
-                    .loss
-                    .compute_with_gradient(&logits, &batch_labels)?;
-                epoch_loss += batch_loss;
+                epoch_loss += mlp.compute_gradients(
+                    &batch_features,
+                    &batch_labels,
+                    self.config.loss,
+                    &mut scratch,
+                )?;
                 batches += 1;
-                let mut grads = mlp.backward_with_scratch(&caches, grad_logits, &mut scratch)?;
-                if self.config.weight_decay > 0.0 {
-                    for (grad, layer) in grads.iter_mut().zip(mlp.layers()) {
-                        grad.weights = grad
+                if weight_decay > 0.0 {
+                    for (grad, layer) in scratch.gradients_mut().iter_mut().zip(mlp.layers()) {
+                        for (g, &w) in grad
                             .weights
-                            .add_elem(&layer.weights().scale(self.config.weight_decay))?;
+                            .as_mut_slice()
+                            .iter_mut()
+                            .zip(layer.weights().as_slice())
+                        {
+                            *g += w * weight_decay;
+                        }
                     }
                 }
-                let updates: Vec<_> = grads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, g)| optimizer.step(i, g))
-                    .collect();
-                mlp.apply_updates(&updates)?;
+                optimizer.step(mlp, scratch.gradients())?;
                 constraint.apply(mlp);
             }
             report.train_loss.push(if batches > 0 {
@@ -282,14 +301,16 @@ impl Trainer {
             });
             // The full-train-set accuracy pass is skippable only when a
             // validation set drives best-model tracking.
-            if self.config.track_train_accuracy || validation.is_none() {
-                report.train_accuracy.push(mlp.accuracy(train));
+            if track_train {
+                report
+                    .train_accuracy
+                    .push(mlp.accuracy_with(train, &mut scratch));
             }
             report.epochs_run = epoch + 1;
 
             let tracked_acc = match validation {
                 Some(val) => {
-                    let acc = mlp.accuracy(val);
+                    let acc = mlp.accuracy_with(val, &mut scratch);
                     report.val_accuracy.push(acc);
                     acc
                 }
@@ -301,7 +322,7 @@ impl Trainer {
 
             if tracked_acc > best_accuracy {
                 best_accuracy = tracked_acc;
-                best_model = mlp.clone();
+                best_model.clone_from(mlp);
                 epochs_since_best = 0;
             } else {
                 epochs_since_best += 1;
@@ -400,6 +421,32 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Non-finite values: comparisons with NaN are false, so they must be
+        // rejected explicitly.
+        for lr_decay in [f32::NAN, f32::INFINITY, 0.0] {
+            assert!(TrainConfig {
+                lr_decay,
+                ..TrainConfig::default()
+            }
+            .validate()
+            .is_err());
+        }
+        for weight_decay in [f32::NAN, f32::INFINITY] {
+            assert!(TrainConfig {
+                weight_decay,
+                ..TrainConfig::default()
+            }
+            .validate()
+            .is_err());
+        }
+        for learning_rate in [f32::NAN, f32::INFINITY] {
+            assert!(TrainConfig {
+                learning_rate,
+                ..TrainConfig::default()
+            }
+            .validate()
+            .is_err());
+        }
         assert!(TrainConfig::default().validate().is_ok());
     }
 
