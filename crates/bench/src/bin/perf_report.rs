@@ -19,8 +19,9 @@
 //!
 //! Wall-clock numbers are machine-relative: compare `BENCH_campaign.json`
 //! across commits measured on the same machine, not across machines. The
-//! `hw_eval_speedup` ratio (fast path vs full synthesis on the same spec) is
-//! the most machine-independent figure.
+//! `hw_eval_speedup` ratio (fast path vs full synthesis on the same spec)
+//! moves whenever either tier gets faster, so read it next to the two
+//! timings it divides.
 
 use pmlp_bench::{persist_json, split_cli_args};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
@@ -340,10 +341,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hit_rate: mul.hit_rate(),
         },
         notes: "Wall-clock values are machine-relative; compare across commits measured on one \
-                machine. hw_eval_speedup (fast path vs full synthesis, same spec) is the most \
-                machine-independent figure. Pre-fast-path reference on the authoring machine \
-                (PR-2 commit, same harness): campaign --quick wall time 0.42-0.45 s vs 0.13 s \
-                after this change (~3.3x)."
+                machine. hw_eval_speedup (fast path vs full synthesis, same spec) depends on both \
+                tiers: it fell from about 8x to about 2.3x when the netlist moved to inline gate \
+                pins and per-kind tallies (full synthesis of the WhiteWine-shaped spec 850-900 us \
+                -> 250-265 us on a two-core VM, fast path unchanged at ~110 us), so read it next \
+                to the two timings. Reference from before the fast path existed (same harness, \
+                another machine): campaign --quick wall time 0.42-0.45 s vs 0.13 s with it \
+                (~3.3x)."
             .into(),
     };
 

@@ -92,30 +92,26 @@ fn add_with_carry(
         "adder operands must be non-empty"
     );
     let width = a.len().max(b.len()) + 1;
-    let a_ext = resize(a, width);
-    let b_ext = resize(b, width);
+    // Sign extension to `width` bits, read in place (as `resize` would).
+    let bit = |word: &[NetId], i: usize| *word.get(i).unwrap_or(&word[word.len() - 1]);
     let mut carry = carry_in;
     let mut sum = Vec::with_capacity(width);
     for i in 0..width {
         let b_bit = if invert_b {
             let inv = netlist.add_net();
-            netlist.add_gate(CellKind::Inverter, vec![b_ext[i]], vec![inv]);
+            netlist.add_gate(CellKind::Inverter, &[bit(b, i)], &[inv]);
             inv
         } else {
-            b_ext[i]
+            bit(b, i)
         };
         let s = netlist.add_net();
         let c = netlist.add_net();
         // Use a half adder when the carry-in is the constant zero (first stage
         // of a plain addition), a full adder otherwise.
         if carry == CONST_ZERO {
-            netlist.add_gate(CellKind::HalfAdder, vec![a_ext[i], b_bit], vec![s, c]);
+            netlist.add_gate(CellKind::HalfAdder, &[bit(a, i), b_bit], &[s, c]);
         } else {
-            netlist.add_gate(
-                CellKind::FullAdder,
-                vec![a_ext[i], b_bit, carry],
-                vec![s, c],
-            );
+            netlist.add_gate(CellKind::FullAdder, &[bit(a, i), b_bit, carry], &[s, c]);
         }
         sum.push(s);
         carry = c;
@@ -131,22 +127,25 @@ pub fn adder_tree(netlist: &mut Netlist, operands: &[Word]) -> Word {
         0 => constant_word(0, 1),
         1 => operands[0].clone(),
         _ => {
-            let mut level: Vec<Word> = operands.to_vec();
+            let mut level = sum_pairs(netlist, operands);
             while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut iter = level.chunks(2);
-                for chunk in &mut iter {
-                    if chunk.len() == 2 {
-                        next.push(add(netlist, &chunk[0], &chunk[1]));
-                    } else {
-                        next.push(chunk[0].clone());
-                    }
-                }
-                level = next;
+                level = sum_pairs(netlist, &level);
             }
             level.pop().expect("adder tree leaves a single word")
         }
     }
+}
+
+/// One adder-tree level: sums `words` pairwise, passing an odd last word
+/// through unchanged.
+fn sum_pairs(netlist: &mut Netlist, words: &[Word]) -> Vec<Word> {
+    words
+        .chunks(2)
+        .map(|pair| match pair {
+            [a, b] => add(netlist, a, b),
+            _ => pair[0].clone(),
+        })
+        .collect()
 }
 
 /// Rectified linear unit on a signed word: outputs `a` when `a >= 0` and `0`
@@ -155,11 +154,11 @@ pub fn relu(netlist: &mut Netlist, a: &[NetId]) -> Word {
     assert!(!a.is_empty(), "relu operand must be non-empty");
     let sign = *a.last().expect("non-empty word");
     let not_sign = netlist.add_net();
-    netlist.add_gate(CellKind::Inverter, vec![sign], vec![not_sign]);
+    netlist.add_gate(CellKind::Inverter, &[sign], &[not_sign]);
     a.iter()
         .map(|&bit| {
             let out = netlist.add_net();
-            netlist.add_gate(CellKind::And2, vec![bit, not_sign], vec![out]);
+            netlist.add_gate(CellKind::And2, &[bit, not_sign], &[out]);
             out
         })
         .collect()
@@ -181,7 +180,7 @@ pub fn mux_word(netlist: &mut Netlist, sel: NetId, on_false: &[NetId], on_true: 
     (0..width)
         .map(|i| {
             let out = netlist.add_net();
-            netlist.add_gate(CellKind::Mux2, vec![sel, f[i], t[i]], vec![out]);
+            netlist.add_gate(CellKind::Mux2, &[sel, f[i], t[i]], &[out]);
             out
         })
         .collect()

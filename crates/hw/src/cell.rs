@@ -43,8 +43,11 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// All cell kinds, in a stable order.
-    pub fn all() -> [CellKind; 12] {
+    /// Number of cell kinds.
+    pub const COUNT: usize = 12;
+
+    /// All cell kinds, in ascending (`Ord`) order.
+    pub fn all() -> [CellKind; CellKind::COUNT] {
         [
             CellKind::Inverter,
             CellKind::Buffer,
@@ -59,6 +62,28 @@ impl CellKind {
             CellKind::FullAdder,
             CellKind::Dff,
         ]
+    }
+
+    /// Position of this kind in [`CellKind::all`], for per-kind tables.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
+    /// `(inputs, outputs)` pin counts of the cell: the number of nets every
+    /// gate of this kind reads and drives.
+    pub fn arity(self) -> (usize, usize) {
+        match self {
+            CellKind::Inverter | CellKind::Buffer | CellKind::Dff => (1, 1),
+            CellKind::Nand2
+            | CellKind::Nor2
+            | CellKind::And2
+            | CellKind::Or2
+            | CellKind::Xor2
+            | CellKind::Xnor2 => (2, 1),
+            CellKind::Mux2 => (3, 1),
+            CellKind::HalfAdder => (2, 2),
+            CellKind::FullAdder => (3, 2),
+        }
     }
 }
 
@@ -79,6 +104,62 @@ impl fmt::Display for CellKind {
             CellKind::Dff => "DFF",
         };
         f.write_str(name)
+    }
+}
+
+/// Per-[`CellKind`] instance counts, indexed by [`CellKind::index`]. Both the
+/// netlist and the fast-path cost model keep their tallies here, so their
+/// area and power reports sum the kinds in the same order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct CellCounts([usize; CellKind::COUNT]);
+
+impl CellCounts {
+    #[inline]
+    pub(crate) fn bump(&mut self, kind: CellKind) {
+        self.0[kind.index()] += 1;
+    }
+
+    pub(crate) fn add(&mut self, other: &CellCounts) {
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a += b;
+        }
+    }
+
+    pub(crate) fn diff(&self, earlier: &CellCounts) -> CellCounts {
+        let mut out = [0usize; CellKind::COUNT];
+        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0.iter())) {
+            *o = a - b;
+        }
+        CellCounts(out)
+    }
+
+    pub(crate) fn total(&self) -> usize {
+        self.0.iter().sum()
+    }
+
+    /// `(kind, count)` for every kind with a non-zero count, in ascending
+    /// kind order.
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (CellKind, usize)> + '_ {
+        CellKind::all()
+            .into_iter()
+            .map(|kind| (kind, self.0[kind.index()]))
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// Per-kind `(count, count * per_cell)` map and its total, summed in
+    /// ascending kind order over the kinds present.
+    pub(crate) fn report_map(
+        &self,
+        per_cell: impl Fn(CellKind) -> f64,
+    ) -> (BTreeMap<CellKind, (usize, f64)>, f64) {
+        let mut by_kind = BTreeMap::new();
+        let mut total = 0.0;
+        for (kind, count) in self.nonzero() {
+            let value = per_cell(kind) * count as f64;
+            by_kind.insert(kind, (count, value));
+            total += value;
+        }
+        (by_kind, total)
     }
 }
 
@@ -202,6 +283,11 @@ impl CellLibrary {
         }
     }
 
+    /// Delay (µs) of every kind, indexed by [`CellKind::index`].
+    pub(crate) fn delay_table(&self) -> [f64; CellKind::COUNT] {
+        CellKind::all().map(|kind| self.params(kind).delay_us)
+    }
+
     /// Iterates over all explicitly defined cells.
     pub fn iter(&self) -> impl Iterator<Item = (&CellKind, &CellParams)> {
         self.cells.iter()
@@ -258,6 +344,15 @@ mod tests {
         let fa = lib.params(CellKind::FullAdder);
         assert!((fa.area_mm2 - 0.48).abs() < 1e-9);
         assert!((fa.power_uw - 9.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_lists_every_kind_at_its_index_in_ascending_order() {
+        let all = CellKind::all();
+        for (i, kind) in all.iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+        assert!(all.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]

@@ -49,68 +49,15 @@
 //! ```
 
 use crate::analysis::{AreaReport, PowerReport, TimingReport};
-use crate::cell::{CellKind, CellLibrary};
+use crate::cell::{CellCounts, CellKind, CellLibrary};
 use crate::circuit::{CircuitSpec, HwActivation, SharingStrategy};
 use crate::constmul::{MultiplierCost, RecodingStrategy};
 use crate::csd::CsdDigits;
 use crate::error::HwError;
 use crate::neuron::min_signed_width;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of distinct [`CellKind`]s (the length of [`CellKind::all`]).
-const KIND_COUNT: usize = 12;
-
-/// Per-[`CellKind`] instance counts, indexed by discriminant order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct CellCounts([usize; KIND_COUNT]);
-
-impl CellCounts {
-    #[inline]
-    fn bump(&mut self, kind: CellKind) {
-        self.0[kind as usize] += 1;
-    }
-
-    fn add(&mut self, other: &CellCounts) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += b;
-        }
-    }
-
-    fn diff(&self, earlier: &CellCounts) -> CellCounts {
-        let mut out = [0usize; KIND_COUNT];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0.iter())) {
-            *o = a - b;
-        }
-        CellCounts(out)
-    }
-
-    fn total(&self) -> usize {
-        self.0.iter().sum()
-    }
-
-    /// Per-kind `(count, count * per_cell)` map in the same order
-    /// [`crate::Netlist::count_by_kind`] produces, skipping absent kinds.
-    fn report_map(
-        &self,
-        per_cell: impl Fn(CellKind) -> f64,
-    ) -> (BTreeMap<CellKind, (usize, f64)>, f64) {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for kind in CellKind::all() {
-            let count = self.0[kind as usize];
-            if count == 0 {
-                continue;
-            }
-            let value = per_cell(kind) * count as f64;
-            by_kind.insert(kind, (count, value));
-            total += value;
-        }
-        (by_kind, total)
-    }
-}
 
 /// The fast-path counterpart of a full synthesis run: the same three analysis
 /// reports a [`BespokeMlpCircuit`](crate::BespokeMlpCircuit) produces.
@@ -294,7 +241,7 @@ fn lookup_multiplier(code: i64, input_bits: usize, recoding: RecodingStrategy) -
 /// The structural walker: mirrors the netlist builders gate for gate,
 /// accumulating instance counts and per-bit arrival times instead of gates.
 struct Estimator {
-    delays: [f64; KIND_COUNT],
+    delays: [f64; CellKind::COUNT],
     counts: CellCounts,
     max_arrival: f64,
     /// When `false`, gates update arrival times but not the instance counts
@@ -304,12 +251,8 @@ struct Estimator {
 
 impl Estimator {
     fn new(library: &CellLibrary) -> Self {
-        let mut delays = [0.0; KIND_COUNT];
-        for kind in CellKind::all() {
-            delays[kind as usize] = library.params(kind).delay_us;
-        }
         Estimator {
-            delays,
+            delays: library.delay_table(),
             counts: CellCounts::default(),
             max_arrival: 0.0,
             counting: true,
@@ -319,7 +262,7 @@ impl Estimator {
     /// A library-independent estimator used only to count gates (delays 0).
     fn probe() -> Self {
         Estimator {
-            delays: [0.0; KIND_COUNT],
+            delays: [0.0; CellKind::COUNT],
             counts: CellCounts::default(),
             max_arrival: 0.0,
             counting: true,
@@ -332,7 +275,7 @@ impl Estimator {
         if self.counting {
             self.counts.bump(kind);
         }
-        let t = input_arrival + self.delays[kind as usize];
+        let t = input_arrival + self.delays[kind.index()];
         if t > self.max_arrival {
             self.max_arrival = t;
         }

@@ -7,26 +7,51 @@
 //! list. Net 0 is hard-wired to logic 0 and net 1 to logic 1.
 
 use crate::analysis::{AreaReport, PowerReport, TimingReport};
-use crate::cell::{CellKind, CellLibrary};
-use serde::{Deserialize, Serialize};
+use crate::cell::{CellCounts, CellKind, CellLibrary};
 use std::collections::BTreeMap;
 
 /// Identifier of a net (wire) in a [`Netlist`].
 pub type NetId = usize;
 
+/// Most input pins of any cell (full adder, mux).
+const MAX_INPUTS: usize = 3;
+/// Most output pins of any cell (half and full adder).
+const MAX_OUTPUTS: usize = 2;
+
 /// One instantiated standard cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The pins live inline in the gate: [`CellKind::arity`] fixes how many of
+/// the (at most three) input and (at most two) output slots the gate uses, so
+/// a netlist stores its gates in one flat allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
+    kind: CellKind,
+    inputs: [NetId; MAX_INPUTS],
+    outputs: [NetId; MAX_OUTPUTS],
+}
+
+impl Gate {
     /// The cell kind.
-    pub kind: CellKind,
+    pub fn kind(&self) -> CellKind {
+        self.kind
+    }
+
     /// Input nets, in cell-specific order (e.g. `[a, b, cin]` for a full
     /// adder, `[sel, d0, d1]` for a mux).
-    pub inputs: Vec<NetId>,
+    pub fn inputs(&self) -> &[NetId] {
+        &self.inputs[..self.kind.arity().0]
+    }
+
     /// Output nets, in cell-specific order (e.g. `[sum, cout]` for adders).
-    pub outputs: Vec<NetId>,
+    pub fn outputs(&self) -> &[NetId] {
+        &self.outputs[..self.kind.arity().1]
+    }
 }
 
 /// A flat gate-level netlist.
+///
+/// Besides the gates it keeps an instance count per [`CellKind`], so the area
+/// and power reports cost one step per kind rather than one per gate.
 ///
 /// # Example
 ///
@@ -37,16 +62,18 @@ pub struct Gate {
 /// let a = n.add_input();
 /// let b = n.add_input();
 /// let y = n.add_net();
-/// n.add_gate(CellKind::And2, vec![a, b], vec![y]);
+/// n.add_gate(CellKind::And2, &[a, b], &[y]);
 /// n.mark_output(y);
 /// assert_eq!(n.gate_count(), 1);
 /// let area = n.area(&CellLibrary::egt());
 /// assert!(area.total_mm2 > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
+    /// Gates of each kind.
+    tally: CellCounts,
     net_count: usize,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
@@ -64,6 +91,7 @@ impl Netlist {
         Netlist {
             name: name.into(),
             gates: Vec::new(),
+            tally: CellCounts::default(),
             net_count: 2,
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
@@ -90,7 +118,16 @@ impl Netlist {
     }
 
     /// Marks an existing net as a primary output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the net has not been allocated, which would indicate a
+    /// builder bug.
     pub fn mark_output(&mut self, net: NetId) {
+        assert!(
+            net < self.net_count,
+            "output references unallocated net {net}"
+        );
         self.primary_outputs.push(net);
     }
 
@@ -98,20 +135,38 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if any referenced net has not been allocated, which would
-    /// indicate a builder bug.
-    pub fn add_gate(&mut self, kind: CellKind, inputs: Vec<NetId>, outputs: Vec<NetId>) {
-        for &net in inputs.iter().chain(outputs.iter()) {
+    /// Panics if the pin counts differ from [`CellKind::arity`] or any
+    /// referenced net has not been allocated; either would indicate a builder
+    /// bug.
+    pub fn add_gate(&mut self, kind: CellKind, inputs: &[NetId], outputs: &[NetId]) {
+        let (input_pins, output_pins) = kind.arity();
+        assert!(
+            inputs.len() == input_pins && outputs.len() == output_pins,
+            "{kind} gate given {} inputs and {} outputs, but the cell has {input_pins} and \
+             {output_pins}",
+            inputs.len(),
+            outputs.len()
+        );
+        for &net in inputs.iter().chain(outputs) {
             assert!(
                 net < self.net_count,
                 "gate references unallocated net {net}"
             );
         }
-        self.gates.push(Gate {
+        let mut gate = Gate {
             kind,
-            inputs,
-            outputs,
-        });
+            inputs: [CONST_ZERO; MAX_INPUTS],
+            outputs: [CONST_ZERO; MAX_OUTPUTS],
+        };
+        gate.inputs[..input_pins].copy_from_slice(inputs);
+        gate.outputs[..output_pins].copy_from_slice(outputs);
+        self.push(gate);
+    }
+
+    /// Appends a gate whose pins are known to be valid, keeping the tally.
+    fn push(&mut self, gate: Gate) {
+        self.tally.bump(gate.kind);
+        self.gates.push(gate);
     }
 
     /// Number of gates.
@@ -141,49 +196,57 @@ impl Netlist {
 
     /// Number of gates of each kind.
     pub fn count_by_kind(&self) -> BTreeMap<CellKind, usize> {
-        let mut map = BTreeMap::new();
-        for g in &self.gates {
-            *map.entry(g.kind).or_insert(0) += 1;
-        }
-        map
+        self.tally.nonzero().collect()
     }
 
-    /// Total cell area under the given library.
+    /// Total cell area under the given library. Read from the per-kind
+    /// tally, summed in ascending kind order.
     pub fn area(&self, library: &CellLibrary) -> AreaReport {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for (kind, count) in self.count_by_kind() {
-            let a = library.params(kind).area_mm2 * count as f64;
-            by_kind.insert(kind, (count, a));
-            total += a;
-        }
+        let (by_kind, total_mm2) = self.tally.report_map(|kind| library.params(kind).area_mm2);
         AreaReport {
-            total_mm2: total,
+            total_mm2,
             gate_count: self.gate_count(),
             by_kind,
         }
     }
 
-    /// Total static power under the given library.
+    /// Total static power under the given library. Read from the per-kind
+    /// tally, summed in ascending kind order.
     pub fn power(&self, library: &CellLibrary) -> PowerReport {
-        let mut by_kind = BTreeMap::new();
-        let mut total = 0.0;
-        for (kind, count) in self.count_by_kind() {
-            let p = library.params(kind).power_uw * count as f64;
-            by_kind.insert(kind, (count, p));
-            total += p;
-        }
-        PowerReport {
-            total_uw: total,
-            by_kind,
-        }
+        let (by_kind, total_uw) = self.tally.report_map(|kind| library.params(kind).power_uw);
+        PowerReport { total_uw, by_kind }
     }
 
     /// Critical-path delay (longest combinational path from any primary input
     /// or constant to any net) under the given library.
+    ///
+    /// Every primary input and constant arrives at t = 0. Gates are evaluated
+    /// in insertion order, checked to be topological in the same pass; if it
+    /// is not, the walk restarts in [`Netlist::topological_gate_order`]. The
+    /// library's delays are resolved into a per-kind table once per call.
     pub fn timing(&self, library: &CellLibrary) -> TimingReport {
-        let arrival = self.arrival_times(library);
-        let critical = arrival.iter().cloned().fold(0.0_f64, f64::max);
+        let delay = library.delay_table();
+        let relax = |arrival: &mut [f64], gate: &Gate| {
+            let input_arrival = gate
+                .inputs()
+                .iter()
+                .map(|&n| arrival[n])
+                .fold(0.0_f64, f64::max);
+            let t = input_arrival + delay[gate.kind.index()];
+            for &out in gate.outputs() {
+                if t > arrival[out] {
+                    arrival[out] = t;
+                }
+            }
+        };
+        let mut arrival = vec![0.0_f64; self.net_count];
+        if !self.walk_insertion_order(|gate| relax(&mut arrival, gate)) {
+            arrival.fill(0.0);
+            for gi in self.topological_gate_order() {
+                relax(&mut arrival, &self.gates[gi]);
+            }
+        }
+        let critical = arrival.iter().copied().fold(0.0_f64, f64::max);
         TimingReport {
             critical_path_us: critical,
             max_frequency_hz: if critical > 0.0 {
@@ -192,28 +255,6 @@ impl Netlist {
                 f64::INFINITY
             },
         }
-    }
-
-    /// Arrival time (µs) of every net, assuming all primary inputs and
-    /// constants arrive at t = 0 and gates are evaluated in dependency order.
-    fn arrival_times(&self, library: &CellLibrary) -> Vec<f64> {
-        let order = self.topological_gate_order();
-        let mut arrival = vec![0.0_f64; self.net_count];
-        for &gi in &order {
-            let gate = &self.gates[gi];
-            let input_arrival = gate
-                .inputs
-                .iter()
-                .map(|&n| arrival[n])
-                .fold(0.0_f64, f64::max);
-            let t = input_arrival + library.params(gate.kind).delay_us;
-            for &out in &gate.outputs {
-                if t > arrival[out] {
-                    arrival[out] = t;
-                }
-            }
-        }
-        arrival
     }
 
     /// Gate indices in topological order (producers before consumers).
@@ -226,15 +267,15 @@ impl Netlist {
     pub fn topological_gate_order(&self) -> Vec<usize> {
         // Fast path: the builders in this crate always append producers
         // before consumers, so most netlists are already in topological
-        // order — verify with two bit-vectors instead of building the full
-        // Kahn worklist structures.
-        if self.insertion_order_is_topological() {
+        // order — verify with one pass over a net-state vector instead of
+        // building the full Kahn worklist structures.
+        if self.walk_insertion_order(|_| {}) {
             return (0..self.gates.len()).collect();
         }
         // Map net -> producing gate index.
         let mut producer: Vec<Option<usize>> = vec![None; self.net_count];
         for (gi, gate) in self.gates.iter().enumerate() {
-            for &out in &gate.outputs {
+            for &out in gate.outputs() {
                 producer[out] = Some(gi);
             }
         }
@@ -242,12 +283,17 @@ impl Netlist {
         let mut indegree: Vec<usize> = self
             .gates
             .iter()
-            .map(|g| g.inputs.iter().filter(|&&n| producer[n].is_some()).count())
+            .map(|g| {
+                g.inputs()
+                    .iter()
+                    .filter(|&&n| producer[n].is_some())
+                    .count()
+            })
             .collect();
         // Consumers of each gate.
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); self.gates.len()];
         for (gi, gate) in self.gates.iter().enumerate() {
-            for &input in &gate.inputs {
+            for &input in gate.inputs() {
                 if let Some(p) = producer[input] {
                     consumers[p].push(gi);
                 }
@@ -299,13 +345,13 @@ impl Netlist {
             driven[net] = true;
         }
         for gate in &self.gates {
-            for &out in &gate.outputs {
+            for &out in gate.outputs() {
                 driven[out] = true;
             }
         }
         let mut read = vec![false; self.net_count];
         for gate in &self.gates {
-            for &input in &gate.inputs {
+            for &input in gate.inputs() {
                 read[input] = true;
             }
         }
@@ -317,25 +363,29 @@ impl Netlist {
             .collect()
     }
 
-    /// `true` when every gate's inputs are driven only by constants, primary
-    /// inputs, undriven nets or gates that appear *earlier* in the list.
-    fn insertion_order_is_topological(&self) -> bool {
-        let mut gate_driven = vec![false; self.net_count];
+    /// Calls `visit` on the gates in insertion order while checking that the
+    /// order is topological: that no gate drives a net an earlier gate has
+    /// already read. Returns `true` when every gate was visited; on the first
+    /// gate that breaks the order it stops, before visiting that gate, and
+    /// returns `false`.
+    fn walk_insertion_order(&self, mut visit: impl FnMut(&Gate)) -> bool {
+        const UNUSED: u8 = 0; // not yet read or driven by a gate
+        const READ_UNDRIVEN: u8 = 1; // read before any gate drove it
+        const DRIVEN: u8 = 2; // driven by a gate already visited
+        let mut nets = vec![UNUSED; self.net_count];
         for gate in &self.gates {
-            for &out in &gate.outputs {
-                gate_driven[out] = true;
-            }
-        }
-        let mut available = vec![false; self.net_count];
-        for gate in &self.gates {
-            for &input in &gate.inputs {
-                if gate_driven[input] && !available[input] {
-                    return false;
+            for &input in gate.inputs() {
+                if nets[input] == UNUSED {
+                    nets[input] = READ_UNDRIVEN;
                 }
             }
-            for &out in &gate.outputs {
-                available[out] = true;
+            for &out in gate.outputs() {
+                if nets[out] == READ_UNDRIVEN {
+                    return false;
+                }
+                nets[out] = DRIVEN;
             }
+            visit(gate);
         }
         true
     }
@@ -374,51 +424,52 @@ impl Netlist {
         }
         for gi in self.topological_gate_order() {
             let gate = &self.gates[gi];
-            let get = |i: usize| values[gate.inputs[i]];
+            let (ins, outs) = (gate.inputs(), gate.outputs());
+            let get = |i: usize| values[ins[i]];
             match gate.kind {
                 CellKind::Inverter => {
-                    values[gate.outputs[0]] = !get(0);
+                    values[outs[0]] = !get(0);
                 }
                 CellKind::Buffer => {
-                    values[gate.outputs[0]] = get(0);
+                    values[outs[0]] = get(0);
                 }
                 CellKind::Nand2 => {
-                    values[gate.outputs[0]] = !(get(0) && get(1));
+                    values[outs[0]] = !(get(0) && get(1));
                 }
                 CellKind::Nor2 => {
-                    values[gate.outputs[0]] = !(get(0) || get(1));
+                    values[outs[0]] = !(get(0) || get(1));
                 }
                 CellKind::And2 => {
-                    values[gate.outputs[0]] = get(0) && get(1);
+                    values[outs[0]] = get(0) && get(1);
                 }
                 CellKind::Or2 => {
-                    values[gate.outputs[0]] = get(0) || get(1);
+                    values[outs[0]] = get(0) || get(1);
                 }
                 CellKind::Xor2 => {
-                    values[gate.outputs[0]] = get(0) ^ get(1);
+                    values[outs[0]] = get(0) ^ get(1);
                 }
                 CellKind::Xnor2 => {
-                    values[gate.outputs[0]] = !(get(0) ^ get(1));
+                    values[outs[0]] = !(get(0) ^ get(1));
                 }
                 CellKind::Mux2 => {
                     // inputs: [sel, d0, d1]
-                    values[gate.outputs[0]] = if get(0) { get(2) } else { get(1) };
+                    values[outs[0]] = if get(0) { get(2) } else { get(1) };
                 }
                 CellKind::HalfAdder => {
                     // inputs: [a, b], outputs: [sum, carry]
                     let (a, b) = (get(0), get(1));
-                    values[gate.outputs[0]] = a ^ b;
-                    values[gate.outputs[1]] = a && b;
+                    values[outs[0]] = a ^ b;
+                    values[outs[1]] = a && b;
                 }
                 CellKind::FullAdder => {
                     // inputs: [a, b, cin], outputs: [sum, carry]
                     let (a, b, c) = (get(0), get(1), get(2));
-                    values[gate.outputs[0]] = a ^ b ^ c;
-                    values[gate.outputs[1]] = (a && b) || (c && (a ^ b));
+                    values[outs[0]] = a ^ b ^ c;
+                    values[outs[1]] = (a && b) || (c && (a ^ b));
                 }
                 CellKind::Dff => {
                     // Combinational approximation: transparent latch.
-                    values[gate.outputs[0]] = get(0);
+                    values[outs[0]] = get(0);
                 }
             }
         }
@@ -446,10 +497,14 @@ impl Netlist {
         for slot in mapping.iter_mut().skip(2) {
             *slot = self.add_net();
         }
+        self.gates.reserve(other.gates.len());
         for gate in &other.gates {
-            let inputs = gate.inputs.iter().map(|&n| mapping[n]).collect();
-            let outputs = gate.outputs.iter().map(|&n| mapping[n]).collect();
-            self.add_gate(gate.kind, inputs, outputs);
+            let mut remapped = *gate;
+            // Unused pin slots hold CONST_ZERO, which maps to itself.
+            for net in remapped.inputs.iter_mut().chain(&mut remapped.outputs) {
+                *net = mapping[*net];
+            }
+            self.push(remapped);
         }
         mapping
     }
@@ -466,8 +521,8 @@ mod tests {
         let c = n.add_input();
         let ab = n.add_net();
         let y = n.add_net();
-        n.add_gate(CellKind::And2, vec![a, b], vec![ab]);
-        n.add_gate(CellKind::Or2, vec![ab, c], vec![y]);
+        n.add_gate(CellKind::And2, &[a, b], &[ab]);
+        n.add_gate(CellKind::Or2, &[ab, c], &[y]);
         n.mark_output(y);
         n
     }
@@ -488,7 +543,7 @@ mod tests {
         let dangling = n.add_net(); // never driven, but read below
         let unused = n.add_net(); // never driven, never read: not reported
         let y = n.add_net();
-        n.add_gate(CellKind::Or2, vec![a, dangling], vec![y]);
+        n.add_gate(CellKind::Or2, &[a, dangling], &[y]);
         n.mark_output(y);
         assert_eq!(n.undriven_nets(), vec![dangling]);
         let _ = unused;
@@ -527,7 +582,7 @@ mod tests {
     fn constants_are_driven() {
         let mut n = Netlist::new("const");
         let y = n.add_net();
-        n.add_gate(CellKind::Or2, vec![CONST_ZERO, CONST_ONE], vec![y]);
+        n.add_gate(CellKind::Or2, &[CONST_ZERO, CONST_ONE], &[y]);
         n.mark_output(y);
         assert_eq!(n.simulate_outputs(&[]), vec![true]);
     }
@@ -540,7 +595,7 @@ mod tests {
         let c = n.add_input();
         let s = n.add_net();
         let co = n.add_net();
-        n.add_gate(CellKind::FullAdder, vec![a, b, c], vec![s, co]);
+        n.add_gate(CellKind::FullAdder, &[a, b, c], &[s, co]);
         n.mark_output(s);
         n.mark_output(co);
         for bits in 0..8u8 {
@@ -561,7 +616,7 @@ mod tests {
         let d0 = n.add_input();
         let d1 = n.add_input();
         let y = n.add_net();
-        n.add_gate(CellKind::Mux2, vec![sel, d0, d1], vec![y]);
+        n.add_gate(CellKind::Mux2, &[sel, d0, d1], &[y]);
         n.mark_output(y);
         assert_eq!(n.simulate_outputs(&[false, true, false]), vec![true]);
         assert_eq!(n.simulate_outputs(&[true, true, false]), vec![false]);
@@ -621,8 +676,8 @@ mod tests {
         let b = n.add_input();
         let mid = n.add_net();
         let y = n.add_net();
-        n.add_gate(CellKind::Inverter, vec![mid], vec![y]); // consumer first
-        n.add_gate(CellKind::And2, vec![a, b], vec![mid]); // producer second
+        n.add_gate(CellKind::Inverter, &[mid], &[y]); // consumer first
+        n.add_gate(CellKind::And2, &[a, b], &[mid]); // producer second
         n.mark_output(y);
         let order = n.topological_gate_order();
         assert_eq!(order, vec![1, 0]);
@@ -630,9 +685,44 @@ mod tests {
     }
 
     #[test]
+    fn gates_expose_exactly_their_cell_pins() {
+        let mut n = Netlist::new("pins");
+        let a = n.add_input();
+        let b = n.add_input();
+        let c = n.add_input();
+        let (s, co, y) = (n.add_net(), n.add_net(), n.add_net());
+        n.add_gate(CellKind::FullAdder, &[a, b, c], &[s, co]);
+        n.add_gate(CellKind::Inverter, &[s], &[y]);
+        let gates = n.gates();
+        assert_eq!(gates[0].kind(), CellKind::FullAdder);
+        assert_eq!(gates[0].inputs(), &[a, b, c]);
+        assert_eq!(gates[0].outputs(), &[s, co]);
+        assert_eq!(gates[1].kind(), CellKind::Inverter);
+        assert_eq!(gates[1].inputs(), &[s]);
+        assert_eq!(gates[1].outputs(), &[y]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FA gate given 2 inputs and 1 outputs, but the cell has 3 and 2")]
+    fn add_gate_panics_on_wrong_arity() {
+        let mut n = Netlist::new("bad");
+        let a = n.add_input();
+        let b = n.add_input();
+        let s = n.add_net();
+        n.add_gate(CellKind::FullAdder, &[a, b], &[s]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output references unallocated net 999")]
+    fn mark_output_panics_on_unallocated_net() {
+        let mut n = and_or_netlist();
+        n.mark_output(999);
+    }
+
+    #[test]
     #[should_panic(expected = "unallocated net")]
     fn add_gate_panics_on_unallocated_net() {
         let mut n = Netlist::new("bad");
-        n.add_gate(CellKind::Inverter, vec![99], vec![CONST_ZERO]);
+        n.add_gate(CellKind::Inverter, &[99], &[CONST_ZERO]);
     }
 }

@@ -32,7 +32,8 @@ impl Default for VerilogOptions {
     }
 }
 
-/// Cell and port names used for each gate kind (EGT-library style).
+/// Cell and port names used for each gate kind (EGT-library style); the
+/// port lists have [`CellKind::arity`] entries.
 fn cell_ports(
     kind: CellKind,
 ) -> (
@@ -72,7 +73,7 @@ fn cell_ports(
 /// let a = n.add_input();
 /// let b = n.add_input();
 /// let y = n.add_net();
-/// n.add_gate(CellKind::And2, vec![a, b], vec![y]);
+/// n.add_gate(CellKind::And2, &[a, b], &[y]);
 /// n.mark_output(y);
 /// let verilog = to_verilog(&n, &VerilogOptions::default());
 /// assert!(verilog.contains("module bespoke_mlp"));
@@ -141,12 +142,12 @@ pub fn to_verilog(netlist: &Netlist, options: &VerilogOptions) -> String {
 
     // Cell instances.
     for (index, gate) in netlist.gates().iter().enumerate() {
-        let (cell, input_ports, output_ports) = cell_ports(gate.kind);
+        let (cell, input_ports, output_ports) = cell_ports(gate.kind());
         let mut connections: Vec<String> = Vec::new();
-        for (port, &net) in input_ports.iter().zip(gate.inputs.iter()) {
+        for (port, &net) in input_ports.iter().zip(gate.inputs()) {
             connections.push(format!(".{port}({})", net_name(net)));
         }
-        for (port, &net) in output_ports.iter().zip(gate.outputs.iter()) {
+        for (port, &net) in output_ports.iter().zip(gate.outputs()) {
             connections.push(format!(".{port}({})", net_name(net)));
         }
         let _ = writeln!(out, "  {cell} u{index} ({});", connections.join(", "));
@@ -247,6 +248,14 @@ mod tests {
         );
         assert!(v.contains("EGT_FA"));
         assert!(v.contains("EGT_MUX2"));
+    }
+
+    #[test]
+    fn cell_ports_match_cell_arity() {
+        for kind in CellKind::all() {
+            let (_, inputs, outputs) = cell_ports(kind);
+            assert_eq!((inputs.len(), outputs.len()), kind.arity(), "{kind}");
+        }
     }
 
     #[test]
