@@ -753,6 +753,25 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn record_line_wire_format_is_pinned() {
+        let plain = record(4, 0.85, 50.0);
+        let line = record_line(&plain);
+        assert_eq!(
+            line,
+            r#"{"key":{"weight_bits":4,"sparsity_millis":4294967295,"clusters":0,"input_bits":4,"fine_tune_epochs":2,"salt":"deadbeefdeadbeef","accuracy_tier":"Integer"},"tier":"FastPath","point":{"config":{"weight_bits":4,"sparsity":null,"clusters_per_input":null,"input_bits":4,"fine_tune_epochs":10},"accuracy":0.85,"area_mm2":50,"power_uw":500,"delay_us":2,"normalized_accuracy":0.9444444444444444,"normalized_area":0.5,"sparsity":0,"gate_count":350}}"#
+        );
+        assert_eq!(parse_record_line(&line).unwrap(), plain);
+
+        let with = record_with_artifacts(4);
+        let line = record_line(&with);
+        assert_eq!(
+            line,
+            r#"{"key":{"weight_bits":4,"sparsity_millis":4294967295,"clusters":0,"input_bits":4,"fine_tune_epochs":2,"salt":"deadbeefdeadbeef","accuracy_tier":"Integer"},"tier":"FastPath","point":{"config":{"weight_bits":4,"sparsity":null,"clusters_per_input":null,"input_bits":4,"fine_tune_epochs":10},"accuracy":0.85,"area_mm2":50,"power_uw":500,"delay_us":2,"normalized_accuracy":0.9444444444444444,"normalized_area":0.5,"sparsity":0,"gate_count":350},"artifacts":"AQEBBAAAAD4CAwIDBgMAAAgCAQQ"}"#
+        );
+        assert_eq!(parse_record_line(&line).unwrap(), with);
+    }
+
+    #[test]
     fn a_corrupt_artifact_blob_degrades_to_a_point_only_record() {
         let with = record_with_artifacts(4);
         let line = record_line(&with).replace("artifacts\":\"", "artifacts\":\"!corrupt!");
