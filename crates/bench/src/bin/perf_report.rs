@@ -1,7 +1,7 @@
 //! Tracked performance baseline: times the stages that dominate a paper
 //! reproduction run — baseline training, a single candidate evaluation, the
-//! hardware cost of one candidate under both tiers (analytic fast path vs
-//! full gate-level synthesis), the quick Fig. 2 experiment, the quick
+//! hardware cost of one candidate under both hardware models (analytic fast
+//! path vs full gate-level synthesis), the quick Fig. 2 experiment, the quick
 //! full-registry campaign, and the persistence tier (local store append /
 //! replay rates plus the `pmlp-serve` loopback round trip) — and writes the
 //! numbers to `BENCH_campaign.json` so every future PR is measured against a
@@ -14,16 +14,17 @@
 //! ```
 //!
 //! `--quick` lowers the repetition counts (CI smoke); the measured stages are
-//! identical. The JSON lands in the working directory (repo root in CI) and a
+//! identical. The seed must be an integer; an unknown flag or a second
+//! positional is an error. The JSON lands in the working directory (repo root in CI) and a
 //! copy under `target/experiment-results/`.
 //!
 //! Wall-clock numbers are machine-relative: compare `BENCH_campaign.json`
 //! across commits measured on the same machine, not across machines. The
 //! `hw_eval_speedup` ratio (fast path vs full synthesis on the same spec)
-//! moves whenever either tier gets faster, so read it next to the two
+//! moves whenever either model gets faster, so read it next to the two
 //! timings it divides.
 
-use pmlp_bench::{persist_json, split_cli_args};
+use pmlp_bench::{parse_cli, persist_json};
 use pmlp_core::campaign::{Campaign, CampaignConfig};
 use pmlp_core::engine::{EvalEngine, Evaluator};
 use pmlp_core::experiment::{Effort, Figure2Experiment};
@@ -50,8 +51,8 @@ struct PerfReport {
     timings: Timings,
     /// Evaluation-cost counters of the quick campaign run.
     campaign_engine: CampaignEngine,
-    /// Throughput of the pure-integer inference engine (the default accuracy
-    /// tier) on a WhiteWine-shaped candidate.
+    /// Throughput of the pure-integer inference engine (which scores every
+    /// candidate's accuracy) on a WhiteWine-shaped candidate.
     int_infer: IntInferMetrics,
     /// Persistence-tier throughput (local JSONL store + pmlp-serve loopback).
     store: StoreMetrics,
@@ -93,7 +94,7 @@ struct CampaignEngine {
     evaluations: usize,
     /// Evaluations served by the analytic fast path.
     fast_path_evals: usize,
-    /// Evaluations (plus finalist verifications) that ran full synthesis.
+    /// Finalist verifications that ran full synthesis.
     full_synthesis_evals: usize,
     /// Objective space the campaign's Pareto fronts were computed in.
     objectives: String,
@@ -226,12 +227,10 @@ fn whitewine_like_spec() -> CircuitSpec {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (positional, effort_flag) = split_cli_args(&args);
-    let quick = effort_flag == Some(Effort::Quick);
-    let seed: u64 = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let options = parse_cli(&args);
+    options.validate()?;
+    let quick = options.effort == Some(Effort::Quick);
+    let seed = options.seed(0)?;
     let hw_reps = if quick { 7 } else { 21 };
 
     // 1. Baseline training (quick budget, Seeds).
@@ -290,7 +289,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign_quick_secs = t0.elapsed().as_secs_f64();
 
     // 6. Pure-integer inference throughput on the same WhiteWine-shaped spec
-    //    (the per-row cost of the default accuracy tier).
+    //    (the per-row cost of scoring a candidate's accuracy).
     let int_infer = measure_int_infer(&spec, if quick { 100_000 } else { 1_000_000 })?;
 
     // 7. Persistence tier: local store append/replay rate and the same
@@ -463,7 +462,7 @@ fn measure_store(records: usize) -> Result<StoreMetrics, Box<dyn std::error::Err
 /// around.
 fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
     use pmlp_core::engine::EvalKey;
-    use pmlp_core::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+    use pmlp_core::objective::DesignPoint;
     pmlp_core::store::EvalRecord {
         key: EvalKey {
             weight_bits: (i % 14) as u8 + 2,
@@ -472,9 +471,7 @@ fn synthetic_record(i: usize) -> pmlp_core::store::EvalRecord {
             input_bits: 4,
             fine_tune_epochs: 2,
             salt: i as u64,
-            accuracy_tier: AccuracyTier::Integer,
         },
-        tier: SynthesisTier::FastPath,
         point: DesignPoint {
             config: MinimizationConfig::default().with_weight_bits((i % 14) as u8 + 2),
             accuracy: 0.5 + (i % 50) as f64 / 100.0,

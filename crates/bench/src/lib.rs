@@ -47,11 +47,6 @@ pub struct CliOptions<'a> {
     /// `--require-warm`: exit with an error if the run needed any fresh
     /// evaluation — CI's assertion that a store re-run recomputes nothing.
     pub require_warm: bool,
-    /// `--float-accuracy`: score accuracies with the fake-quantized float
-    /// model instead of the default pure-integer inference engine (an
-    /// ablation/debugging opt-out; the two tiers agree on every registry
-    /// dataset by the equivalence test suite).
-    pub float_accuracy: bool,
     /// Objective space from `--objectives LIST` (or `--objectives=LIST`), a
     /// comma-separated subset of `accuracy,area,power,delay,energy`. `None`
     /// keeps the classic `(accuracy, area)` space — and byte-identical
@@ -78,7 +73,8 @@ pub struct CliOptions<'a> {
     /// in-flight requests before abandoning them (default 5s).
     pub drain_timeout_ms: Option<u64>,
     /// A malformed command line detected during parsing (e.g. `--store`
-    /// without a directory); surfaced by [`CliOptions::validate`].
+    /// without a directory, or an unknown `--flag`); surfaced by
+    /// [`CliOptions::validate`].
     pub parse_error: Option<String>,
 }
 
@@ -116,22 +112,37 @@ impl CliOptions<'_> {
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown effort name or a seed that is not a
+    /// Returns a message for an unknown effort name, a seed that is not a
     /// non-negative integer — a misplaced seed such as `campaign all 43` is
-    /// rejected instead of running seed 42 at full effort.
+    /// rejected instead of running seed 42 at full effort — or a positional
+    /// past the seed.
     pub fn effort_and_seed(&self, at: usize) -> Result<(Effort, u64), String> {
         let named = self
             .positional
             .get(at)
             .map(|name| parse_effort(name))
             .transpose()?;
-        let seed = match self.positional.get(at + 1) {
+        let seed = self.seed(at + 1)?;
+        Ok((self.effort.or(named).unwrap_or(Effort::Full), seed))
+    }
+
+    /// The `[seed]` positional at index `at`, 42 when absent. It must be the
+    /// last positional.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for a seed that is not a non-negative integer or
+    /// for any positional after it.
+    pub fn seed(&self, at: usize) -> Result<u64, String> {
+        if let Some(extra) = self.positional.get(at + 1) {
+            return Err(format!("unexpected argument '{extra}' after the seed"));
+        }
+        match self.positional.get(at) {
             Some(text) => text
                 .parse()
-                .map_err(|_| format!("seed must be a non-negative integer, got '{text}'"))?,
-            None => 42,
-        };
-        Ok((self.effort.or(named).unwrap_or(Effort::Full), seed))
+                .map_err(|_| format!("seed must be a non-negative integer, got '{text}'")),
+            None => Ok(42),
+        }
     }
 
     /// `true` when any persistence tier is configured.
@@ -160,7 +171,9 @@ impl CliOptions<'_> {
 }
 
 /// Parses the raw CLI arguments (excluding the program name) of the bench
-/// binaries: positionals, the effort override and the persistence flags.
+/// binaries: positionals, the effort override and the persistence flags. An
+/// unknown `--flag` is recorded as a parse error, never taken as a
+/// positional.
 pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
     let mut options = CliOptions::default();
     let mut iter = args.iter();
@@ -228,7 +241,6 @@ pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
             },
             "--resume" => options.resume = true,
             "--require-warm" => options.require_warm = true,
-            "--float-accuracy" => options.float_accuracy = true,
             other => {
                 if let Some(dir) = other.strip_prefix("--store=") {
                     if dir.is_empty() {
@@ -281,6 +293,8 @@ pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
                                 Some("--drain-timeout-ms needs a number of milliseconds".into());
                         }
                     }
+                } else if other.starts_with("--") {
+                    options.parse_error = Some(format!("unknown flag '{other}'"));
                 } else {
                     options.positional.push(other);
                 }
@@ -288,15 +302,6 @@ pub fn parse_cli(args: &[String]) -> CliOptions<'_> {
         }
     }
     options
-}
-
-/// Splits raw CLI arguments (excluding the program name) into positional
-/// arguments and an effort override: `--quick` (or `-q`) anywhere on the
-/// command line forces [`Effort::Quick`], so CI can run the figure binaries
-/// without paper-scale budgets regardless of positional defaults.
-pub fn split_cli_args(args: &[String]) -> (Vec<&str>, Option<Effort>) {
-    let options = parse_cli(args);
-    (options.positional, options.effort)
 }
 
 /// Renders one Fig. 1 subplot as the text table the paper plots.
@@ -416,18 +421,15 @@ mod tests {
 
     #[test]
     fn quick_flag_overrides_positionals() {
-        let args: Vec<String> = ["seeds", "--quick", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positional, effort) = split_cli_args(&args);
-        assert_eq!(positional, vec!["seeds", "7"]);
-        assert_eq!(effort, Some(Effort::Quick));
+        let args = cli(&["seeds", "--quick", "7"]);
+        let options = parse_cli(&args);
+        assert_eq!(options.positional, vec!["seeds", "7"]);
+        assert_eq!(options.effort, Some(Effort::Quick));
 
-        let args: Vec<String> = ["seeds", "full"].iter().map(|s| s.to_string()).collect();
-        let (positional, effort) = split_cli_args(&args);
-        assert_eq!(positional, vec!["seeds", "full"]);
-        assert_eq!(effort, None);
+        let args = cli(&["seeds", "full"]);
+        let options = parse_cli(&args);
+        assert_eq!(options.positional, vec!["seeds", "full"]);
+        assert_eq!(options.effort, None);
     }
 
     #[test]
@@ -454,19 +456,39 @@ mod tests {
     }
 
     #[test]
-    fn float_accuracy_flag_is_parsed() {
-        let args: Vec<String> = ["all", "--float-accuracy"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = parse_cli(&args);
-        assert!(options.float_accuracy);
-        assert_eq!(options.positional, vec!["all"]);
-        assert!(options.validate().is_ok());
-        assert!(
-            !parse_cli(&[]).float_accuracy,
-            "defaults to integer scoring"
-        );
+    fn unknown_flags_are_rejected_not_taken_as_positionals() {
+        for bad in [
+            vec!["all", "--float-accuracy"],
+            vec!["seeds", "--quick", "--frobnicate"],
+            vec!["--stor=target/s"],
+        ] {
+            let args = cli(&bad);
+            let options = parse_cli(&args);
+            let err = options.validate().expect_err("unknown flag");
+            assert!(err.contains("unknown flag"), "{bad:?}: {err}");
+            assert!(!options.positional.iter().any(|p| p.starts_with("--")));
+        }
+        // Short `-q` and a negative-looking positional are not `--` flags.
+        assert!(parse_cli(&cli(&["all", "-q"])).validate().is_ok());
+    }
+
+    #[test]
+    fn positionals_past_the_seed_are_rejected() {
+        let parse = |args: &[&str]| parse_cli(&cli(args)).effort_and_seed(1);
+        assert_eq!(parse(&["seeds", "quick", "3"]), Ok((Effort::Quick, 3)));
+        let err = parse(&["seeds", "quick", "3", "extra"]).expect_err("extra positional");
+        assert!(err.contains("'extra'"), "{err}");
+        assert!(parse(&["all", "full", "43", "7"]).is_err());
+    }
+
+    #[test]
+    fn a_seed_only_command_line_rejects_a_non_integer_seed() {
+        // The perf_report form: `[--quick] [seed]`.
+        let seed = |args: &[&str]| parse_cli(&cli(args)).seed(0);
+        assert_eq!(seed(&["--quick"]), Ok(42));
+        assert_eq!(seed(&["--quick", "7"]), Ok(7));
+        assert!(seed(&["--quick", "4x"]).is_err());
+        assert!(seed(&["7", "8"]).is_err());
     }
 
     #[test]

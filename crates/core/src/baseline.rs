@@ -2,19 +2,19 @@
 //! figure normalizes against.
 //!
 //! Training and characterizing a baseline is the fixed up-front cost of every
-//! experiment: epochs of full-precision training plus (at full effort) one
-//! gate-level synthesis of the reference circuit. With a store attached,
+//! experiment: epochs of full-precision training plus one gate-level
+//! synthesis of the reference circuit. With a store attached,
 //! [`BaselineDesign::train_cached`] persists the trained model and its
 //! measured characterization as a store document keyed by the exact training
-//! budget, so resumed campaigns and figure re-runs skip straight past it. Any change to the budget (or the
-//! dataset/seed) changes the document fingerprint and self-invalidates the
-//! cache.
+//! budget, so resumed campaigns and figure re-runs skip straight past it. Any
+//! change to the budget (or the dataset/seed) changes the document
+//! fingerprint and self-invalidates the cache.
 
-use crate::bridge::{estimate_area, synthesize_area, SynthesisSummary};
+use crate::bridge::{synthesize_area, SynthesisSummary};
 use crate::error::CoreError;
-use crate::objective::{integer_accuracy, AccuracyTier, SynthesisTier};
+use crate::objective::integer_accuracy;
 use crate::store::StoreBackend;
-use pmlp_data::{quantize_features, DatasetDescriptor, UciDataset};
+use pmlp_data::{DatasetDescriptor, UciDataset};
 use pmlp_hw::{CellLibrary, SharingStrategy};
 use pmlp_minimize::{minimize, MinimizationConfig};
 use pmlp_nn::{Activation, Dataset, Mlp, MlpBuilder, TrainConfig, Trainer};
@@ -36,17 +36,6 @@ pub struct BaselineConfig {
     pub train_fraction: f64,
     /// Input bit-width of the bespoke circuit.
     pub input_bits: u8,
-    /// Hardware model used to characterize the baseline circuit. Defaults to
-    /// full gate-level synthesis (the baseline is the reference point and a
-    /// one-time cost); quick/smoke budgets switch to the bit-identical
-    /// analytic fast path and lean on the equivalence test suite instead.
-    pub synthesis_tier: SynthesisTier,
-    /// Which arithmetic scores the baseline's (and, by default, every
-    /// candidate's) test accuracy. Defaults to
-    /// [`AccuracyTier::Integer`] — the exact arithmetic of the bespoke
-    /// circuit; [`AccuracyTier::Float`] keeps the fake-quantized `f32` model
-    /// for ablations.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl Default for BaselineConfig {
@@ -57,8 +46,6 @@ impl Default for BaselineConfig {
             learning_rate: 0.01,
             train_fraction: 0.75,
             input_bits: 4,
-            synthesis_tier: SynthesisTier::FullSynthesis,
-            accuracy_tier: AccuracyTier::default(),
         }
     }
 }
@@ -81,14 +68,11 @@ fn budget_fingerprint(dataset: UciDataset, seed: u64, config: &BaselineConfig) -
     fp.mix_u64(u64::from(config.learning_rate.to_bits()));
     fp.mix_u64(config.train_fraction.to_bits());
     fp.mix_u64(u64::from(config.input_bits));
-    fp.mix_u64(match config.synthesis_tier {
-        SynthesisTier::FullSynthesis => 0xF011,
-        SynthesisTier::FastPath => 0xFA57,
-    });
-    fp.mix_u64(match config.accuracy_tier {
-        AccuracyTier::Float => 0xF10A7,
-        AccuracyTier::Integer => 0x1237,
-    });
+    // Tags of the full-synthesis, integer-accuracy characterization: kept so
+    // full-effort document names stay what they were when the hardware model
+    // and the accuracy arithmetic were selectable.
+    fp.mix_u64(0xF011);
+    fp.mix_u64(0x1237);
     fp.finish()
 }
 
@@ -117,18 +101,11 @@ pub struct BaselineDesign {
     pub train: Dataset,
     /// Held-out test split (used for all reported accuracies).
     pub test: Dataset,
-    /// The test split with features snapped onto the circuit's unsigned
-    /// `input_bits` grid — exactly what the hardware's primary inputs carry.
-    /// Both accuracy tiers score on this view (the float tier in `f32`, the
-    /// integer tier via the equivalent integer rows in
-    /// [`BaselineDesign::test_rows`]).
-    pub quantized_test: Dataset,
-    /// The quantized test features as flattened sample-major integer grid
-    /// values, the input format of [`pmlp_hw::IntInferEngine`].
+    /// The test features snapped onto the circuit's unsigned `input_bits`
+    /// grid — exactly what the hardware's primary inputs carry — as
+    /// flattened sample-major integer grid values, the input format of
+    /// [`pmlp_hw::IntInferEngine`].
     pub test_rows: Vec<u16>,
-    /// Which arithmetic scored [`BaselineDesign::accuracy`]; evaluation
-    /// contexts default to the same tier.
-    pub accuracy_tier: AccuracyTier,
     /// Test accuracy of the 8-bit baseline bespoke implementation.
     pub accuracy: f64,
     /// Synthesis results of the 8-bit baseline bespoke circuit.
@@ -185,40 +162,26 @@ impl BaselineDesign {
 
         let library = CellLibrary::egt();
         // The circuit's view of the test split: features snapped onto the
-        // unsigned input grid, plus the same grid points as raw integers for
-        // the pure-integer engine.
-        let mut quantized_test = test.clone();
-        quantize_features(&mut quantized_test, config.input_bits)?;
+        // unsigned input grid, as raw integers for the pure-integer engine.
         let test_rows = pmlp_hw::quantize_rows(test.features().as_slice(), config.input_bits)
             .map_err(CoreError::from)?;
         // The baseline bespoke MLP: 8-bit post-training quantized weights, no
         // pruning, no clustering, no multiplier sharing.
         let baseline_cfg = MinimizationConfig::baseline().with_input_bits(config.input_bits);
         let minimized = minimize(&model, &train, Some(&test), &baseline_cfg, &mut rng)?;
-        let accuracy = match config.accuracy_tier {
-            AccuracyTier::Float => minimized.accuracy(&quantized_test),
-            AccuracyTier::Integer => integer_accuracy(
-                &minimized.integer_layers,
-                config.input_bits,
-                SharingStrategy::None,
-                &test_rows,
-                test.labels(),
-            )?,
-        };
-        let synthesis = match config.synthesis_tier {
-            SynthesisTier::FullSynthesis => synthesize_area(
-                &minimized.integer_layers,
-                config.input_bits,
-                &library,
-                SharingStrategy::None,
-            )?,
-            SynthesisTier::FastPath => estimate_area(
-                &minimized.integer_layers,
-                config.input_bits,
-                &library,
-                SharingStrategy::None,
-            )?,
-        };
+        let accuracy = integer_accuracy(
+            &minimized.integer_layers,
+            config.input_bits,
+            SharingStrategy::None,
+            &test_rows,
+            test.labels(),
+        )?;
+        let synthesis = synthesize_area(
+            &minimized.integer_layers,
+            config.input_bits,
+            &library,
+            SharingStrategy::None,
+        )?;
 
         Ok(BaselineDesign {
             dataset,
@@ -226,9 +189,7 @@ impl BaselineDesign {
             model,
             train,
             test,
-            quantized_test,
             test_rows,
-            accuracy_tier: config.accuracy_tier,
             accuracy,
             synthesis,
             library,
@@ -321,8 +282,6 @@ impl BaselineDesign {
         {
             return None;
         }
-        let mut quantized_test = test.clone();
-        quantize_features(&mut quantized_test, config.input_bits).ok()?;
         let test_rows =
             pmlp_hw::quantize_rows(test.features().as_slice(), config.input_bits).ok()?;
         Some(BaselineDesign {
@@ -331,9 +290,7 @@ impl BaselineDesign {
             model,
             train,
             test,
-            quantized_test,
             test_rows,
-            accuracy_tier: config.accuracy_tier,
             accuracy,
             synthesis,
             library: CellLibrary::egt(),
@@ -352,22 +309,19 @@ impl BaselineDesign {
     /// measured against.
     ///
     /// The fingerprint covers the dataset, data/training seed, circuit input
-    /// precision, accuracy tier, model topology and the baseline's measured
-    /// accuracy, area, power and gate count — any change to the training
-    /// budget, the hardware model or the accuracy arithmetic changes the
-    /// measured numbers and therefore the fingerprint, which invalidates
-    /// stale store files without any explicit versioning bookkeeping.
+    /// precision, model topology and the baseline's measured accuracy, area,
+    /// power and gate count — any change to the training budget, the hardware
+    /// model or the accuracy arithmetic changes the measured numbers and
+    /// therefore the fingerprint, which invalidates stale store files without
+    /// any explicit versioning bookkeeping.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = crate::store::FingerprintHasher::new();
         fp.mix_bytes(self.dataset.to_string().as_bytes());
         fp.mix_u64(self.seed);
         fp.mix_u64(u64::from(self.input_bits));
-        // Explicit tier tag: even an (unlikely) tier change that leaves every
-        // measured number identical must not reuse cached scores.
-        fp.mix_u64(match self.accuracy_tier {
-            AccuracyTier::Float => 0xF10A7,
-            AccuracyTier::Integer => 0x1237,
-        });
+        // Tag of integer-scored accuracy: kept so record logs and completion
+        // markers keep the names they had when float scoring was selectable.
+        fp.mix_u64(0x1237);
         for width in self.model.topology() {
             fp.mix_u64(width as u64);
         }
@@ -436,7 +390,7 @@ mod tests {
         assert_eq!(loaded.fingerprint(), trained.fingerprint());
         assert_eq!(loaded.test_rows, trained.test_rows);
         assert_eq!(loaded.train, trained.train);
-        assert_eq!(loaded.quantized_test, trained.quantized_test);
+        assert_eq!(loaded.test, trained.test);
     }
 
     #[test]
@@ -480,17 +434,17 @@ mod tests {
             },
         );
         let other_seed = baseline_doc_name(UciDataset::Seeds, 10, &quick_config());
-        let other_tier = baseline_doc_name(
+        let other_input_bits = baseline_doc_name(
             UciDataset::Seeds,
             9,
             &BaselineConfig {
-                accuracy_tier: AccuracyTier::Float,
+                input_bits: 5,
                 ..quick_config()
             },
         );
         assert_ne!(base, other_epochs);
         assert_ne!(base, other_seed);
-        assert_ne!(base, other_tier);
+        assert_ne!(base, other_input_bits);
         assert!(base.starts_with("baseline_seeds_") && base.ends_with(".json"));
     }
 

@@ -7,9 +7,9 @@
 //! [`EvalEngine`], runs the three standalone technique sweeps, and collects
 //! the normalized Pareto fronts plus the headline area-gain rows into one
 //! [`CampaignResult`]. Every reported accuracy — baselines and candidates
-//! alike — is scored under the engine's default
-//! [accuracy tier](crate::objective::AccuracyTier): pure-integer inference,
-//! bit-identical to gate-level simulation of the bespoke circuit.
+//! alike — is scored by pure-integer inference
+//! ([`crate::objective::integer_accuracy`]), bit-identical to gate-level
+//! simulation of the bespoke circuit.
 //!
 //! Datasets fan out across rayon workers — engines already parallelize
 //! *within* a dataset, so a campaign saturates the machine at both levels —
@@ -48,7 +48,7 @@
 use crate::engine::EvalEngine;
 use crate::error::CoreError;
 use crate::experiment::{headline_summary, Effort, Figure1Experiment};
-use crate::objective::{AccuracyTier, DesignMetrics, ObjectiveSpace};
+use crate::objective::{DesignMetrics, ObjectiveSpace};
 use crate::pareto::hypervolume;
 use crate::report::{FigureSeries, HeadlineRow, TechniqueSummary};
 use crate::store::StoreBackend;
@@ -82,13 +82,6 @@ pub struct CampaignConfig {
     /// 3-objective run never replays a 2-objective report (the evaluation
     /// store itself is shared freely — full metrics are always persisted).
     pub objectives: ObjectiveSpace,
-    /// Which arithmetic scores every accuracy of the run — baselines and
-    /// candidates alike. Defaults to [`AccuracyTier::Integer`] (bit-identical
-    /// to gate-level simulation of the bespoke circuit);
-    /// [`AccuracyTier::Float`] restores the fake-quantized float model for
-    /// ablations. The tier is part of each baseline's fingerprint, so stores
-    /// and completion markers written under the other tier never resume.
-    pub accuracy_tier: AccuracyTier,
     /// Directory of the persistent evaluation store. When set, every
     /// dataset's engine warm-starts from (and appends to) the store's record
     /// logs, and a completion marker is committed per finished dataset so an
@@ -135,7 +128,6 @@ impl Default for CampaignConfig {
             seed: 42,
             max_accuracy_loss: 0.05,
             objectives: ObjectiveSpace::classic(),
-            accuracy_tier: AccuracyTier::default(),
             store_dir: None,
             remote_store: None,
             remote_timeout_ms: None,
@@ -182,10 +174,10 @@ pub struct DatasetReport {
     /// Fraction of evaluation requests answered from the engine's cache.
     pub cache_hit_rate: f64,
     /// Evaluations whose hardware cost came from the analytic fast path (no
-    /// netlist was built).
+    /// netlist was built): every computed evaluation, so always equal to
+    /// `evaluations`.
     pub fast_path_evals: usize,
-    /// Evaluations (plus finalist verifications) that ran full gate-level
-    /// synthesis.
+    /// Finalist verifications that ran full gate-level synthesis.
     pub full_synthesis_evals: usize,
     /// Hit rate of the process-wide constant-multiplier cost cache when this
     /// dataset finished, in `[0, 1]` (shared across concurrent datasets).
@@ -404,10 +396,7 @@ impl Campaign {
         dataset: UciDataset,
         backend: Option<&Arc<dyn StoreBackend>>,
     ) -> Result<EvalEngine, CoreError> {
-        let baseline_config = crate::baseline::BaselineConfig {
-            accuracy_tier: self.config.accuracy_tier,
-            ..self.config.effort.baseline_config()
-        };
+        let baseline_config = self.config.effort.baseline_config();
         // The baseline characterization itself is cached in the store (keyed
         // by the exact budget): resumed runs skip the training +
         // reference-synthesis cost entirely.
@@ -663,7 +652,7 @@ impl Campaign {
             hypervolume: volume,
             evaluations: stats.misses,
             cache_hit_rate: stats.hit_rate(),
-            fast_path_evals: stats.fast_path,
+            fast_path_evals: stats.misses,
             full_synthesis_evals: stats.full_synthesis,
             multiplier_cache_hit_rate: stats.multiplier_cache_hit_rate(),
             elapsed_secs: start.elapsed().as_secs_f64(),
@@ -719,7 +708,6 @@ mod tests {
             seed: 5,
             max_accuracy_loss: 0.05,
             objectives: ObjectiveSpace::classic(),
-            accuracy_tier: AccuracyTier::default(),
             store_dir: Some(dir.to_path_buf()),
             remote_store: None,
             remote_timeout_ms: None,

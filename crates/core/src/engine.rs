@@ -44,9 +44,7 @@
 use crate::baseline::{BaselineConfig, BaselineDesign};
 use crate::bridge::{synthesize_area, SynthesisSummary};
 use crate::error::CoreError;
-use crate::objective::{
-    evaluate_config_detailed, AccuracyTier, DesignPoint, EvaluationContext, SynthesisTier,
-};
+use crate::objective::{evaluate_config_detailed, DesignPoint, EvaluationContext};
 use crate::store::{EvalArtifacts, EvalRecord, EvalStore, StoreBackend};
 use pmlp_data::UciDataset;
 use pmlp_hw::SharingStrategy;
@@ -103,9 +101,6 @@ pub struct EvalKey {
     pub fine_tune_epochs: usize,
     /// RNG salt of the evaluation (see [`EvalEngine::with_salt`]).
     pub salt: u64,
-    /// Which arithmetic measured the candidate's accuracy (see
-    /// [`AccuracyTier`]); results scored under different tiers never mix.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl EvalKey {
@@ -114,7 +109,6 @@ impl EvalKey {
         input_bits: u8,
         fine_tune_epochs: usize,
         salt: u64,
-        accuracy_tier: AccuracyTier,
     ) -> Self {
         EvalKey {
             weight_bits: config.weight_bits.unwrap_or(0),
@@ -126,7 +120,6 @@ impl EvalKey {
             input_bits,
             fine_tune_epochs,
             salt,
-            accuracy_tier,
         }
     }
 
@@ -143,10 +136,6 @@ impl EvalKey {
         mix(u64::from(self.input_bits));
         mix(self.fine_tune_epochs as u64);
         mix(self.salt);
-        mix(match self.accuracy_tier {
-            AccuracyTier::Float => 0,
-            AccuracyTier::Integer => 1,
-        });
         h
     }
 }
@@ -207,11 +196,9 @@ pub struct EngineStats {
     pub coalesced: usize,
     /// Number of distinct configurations currently cached.
     pub entries: usize,
-    /// Computed evaluations whose hardware cost came from the analytic fast
-    /// path (no netlist).
-    pub fast_path: usize,
-    /// Computed evaluations (plus finalist verifications) that ran full
-    /// gate-level synthesis.
+    /// Finalist verifications ([`EvalEngine::finalize`]) that ran full
+    /// gate-level synthesis. Every computed evaluation (`misses`) is priced
+    /// by the analytic fast path instead.
     pub full_synthesis: usize,
     /// Entries preloaded from the persistent evaluation store when the engine
     /// was constructed with [`EvalEngine::with_store`] /
@@ -282,13 +269,10 @@ pub struct EvalEngine {
     baseline: BaselineDesign,
     fine_tune_epochs: usize,
     salt: u64,
-    tier: SynthesisTier,
-    accuracy_tier: AccuracyTier,
     shards: Box<[Mutex<HashMap<EvalKey, Slot>>]>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     coalesced: AtomicUsize,
-    fast_path: AtomicUsize,
     full_synthesis: AtomicUsize,
     warmed: usize,
     finalize_reruns: AtomicUsize,
@@ -329,20 +313,14 @@ impl EvalEngine {
         let shards = (0..DEFAULT_SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
-        // Candidates default to the arithmetic that scored the baseline, so
-        // normalized accuracies compare like with like.
-        let accuracy_tier = baseline.accuracy_tier;
         EvalEngine {
             baseline,
             fine_tune_epochs: DEFAULT_FINE_TUNE_EPOCHS,
             salt: 0,
-            tier: SynthesisTier::default(),
-            accuracy_tier,
             shards,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             coalesced: AtomicUsize::new(0),
-            fast_path: AtomicUsize::new(0),
             full_synthesis: AtomicUsize::new(0),
             warmed: 0,
             finalize_reruns: AtomicUsize::new(0),
@@ -417,40 +395,6 @@ impl EvalEngine {
         self
     }
 
-    /// Overrides the hardware-model tier of every evaluation (defaults to the
-    /// analytic fast path, which is bit-for-bit equivalent to full synthesis
-    /// and roughly an order of magnitude cheaper per candidate). Select
-    /// [`SynthesisTier::FullSynthesis`] to force every candidate through
-    /// gate-level synthesis, e.g. for ablation or to measure the fast path's
-    /// speedup.
-    #[must_use]
-    pub fn with_synthesis_tier(mut self, tier: SynthesisTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The hardware-model tier candidate evaluations run through.
-    pub fn synthesis_tier(&self) -> SynthesisTier {
-        self.tier
-    }
-
-    /// Overrides which arithmetic scores every candidate's accuracy (part of
-    /// the cache key). Defaults to the tier that scored the baseline —
-    /// [`AccuracyTier::Integer`] unless the baseline opted out — so that
-    /// normalized accuracies always compare like with like; override both the
-    /// baseline's [`crate::BaselineConfig::accuracy_tier`] and this when
-    /// ablating against the fake-quantized float model.
-    #[must_use]
-    pub fn with_accuracy_tier(mut self, tier: AccuracyTier) -> Self {
-        self.accuracy_tier = tier;
-        self
-    }
-
-    /// The arithmetic that scores candidate accuracies.
-    pub fn accuracy_tier(&self) -> AccuracyTier {
-        self.accuracy_tier
-    }
-
     /// Attaches the persistent evaluation store under `dir` (the local JSONL
     /// backend): the engine warm-starts its in-memory cache from the store's
     /// record log for this baseline (see [`EvalEngine::fingerprint`]) and
@@ -460,8 +404,8 @@ impl EvalEngine {
     /// All of [`EvalKey`]'s fields travel with each record, so entries
     /// written under other fine-tuning budgets or salts coexist in the same
     /// file and simply never match; changing the *baseline* (dataset, seed,
-    /// training budget, hardware tier of the reference circuit) changes the
-    /// fingerprint and selects a different file entirely.
+    /// training budget) changes the fingerprint and selects a different file
+    /// entirely.
     ///
     /// # Errors
     ///
@@ -556,7 +500,6 @@ impl EvalEngine {
                 .iter()
                 .map(|s| s.lock().expect("shard lock").len())
                 .sum(),
-            fast_path: self.fast_path.load(Ordering::Relaxed),
             full_synthesis: self.full_synthesis.load(Ordering::Relaxed),
             warmed: self.warmed,
             finalize_reruns: self.finalize_reruns.load(Ordering::Relaxed),
@@ -614,7 +557,6 @@ impl EvalEngine {
             self.baseline.input_bits,
             self.fine_tune_epochs,
             self.salt,
-            self.accuracy_tier,
         );
         let shard = self.shard_for(&key);
 
@@ -684,9 +626,7 @@ impl EvalEngine {
                 };
 
                 let ctx = EvaluationContext::new(&self.baseline)
-                    .with_fine_tune_epochs(self.fine_tune_epochs)
-                    .with_tier(self.tier)
-                    .with_accuracy_tier(self.accuracy_tier);
+                    .with_fine_tune_epochs(self.fine_tune_epochs);
                 let outcome = evaluate_config_detailed(&ctx, config, self.salt);
 
                 unwind_guard.armed = false;
@@ -722,7 +662,6 @@ impl EvalEngine {
                 if let (Some(store), Ok(point)) = (&self.store, &outcome) {
                     let record = EvalRecord {
                         key,
-                        tier: self.tier,
                         point: point.clone(),
                         artifacts: stored_artifacts.map(|(layers, sharing)| EvalArtifacts {
                             layers: layers.as_ref().clone(),
@@ -742,14 +681,6 @@ impl EvalEngine {
                     }
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                match self.tier {
-                    SynthesisTier::FastPath => {
-                        self.fast_path.fetch_add(1, Ordering::Relaxed);
-                    }
-                    SynthesisTier::FullSynthesis => {
-                        self.full_synthesis.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 self.report_progress(config, false);
                 outcome.map(|p| (p, false))
             }
@@ -764,9 +695,12 @@ pub struct FinalizedDesign {
     pub point: DesignPoint,
     /// The full-synthesis summary of the same minimized layers.
     pub full: SynthesisSummary,
-    /// `true` when full synthesis reproduced the search-time area, power and
-    /// gate count exactly — which it must, since the fast path mirrors
-    /// synthesis bit for bit. A `false` here indicates a cost-model bug.
+    /// `true` when full synthesis reproduced the search-time area, power,
+    /// critical-path delay and gate count exactly — which it must, since the
+    /// fast path mirrors synthesis bit for bit. A `false` here indicates a
+    /// cost-model bug. A point with an unknown (`NaN`) delay, loaded from a
+    /// record written before delay was persisted, is checked on the other
+    /// three quantities only.
     pub matches_fast_path: bool,
 }
 
@@ -775,10 +709,9 @@ impl EvalEngine {
     /// the search already scored it), then runs **full gate-level synthesis**
     /// on the cached minimized layers and cross-checks the fast-path numbers.
     ///
-    /// This is the second tier of the two-tier evaluation scheme: thousands
-    /// of search candidates go through the analytic fast path, and only
-    /// Pareto-front finalists (and the baseline) pay for a netlist — which
-    /// also makes them simulatable and exportable to Verilog.
+    /// Thousands of search candidates are priced by the analytic fast path;
+    /// only Pareto-front finalists (and the baseline) pay for a netlist —
+    /// which also makes them simulatable and exportable to Verilog.
     ///
     /// # Errors
     ///
@@ -790,7 +723,6 @@ impl EvalEngine {
             self.baseline.input_bits,
             self.fine_tune_epochs,
             self.salt,
-            self.accuracy_tier,
         );
         let cached = {
             let guard = self.shard_for(&key).lock().expect("shard lock");
@@ -815,9 +747,7 @@ impl EvalEngine {
                 // later finalization of the same configuration.
                 self.finalize_reruns.fetch_add(1, Ordering::Relaxed);
                 let ctx = EvaluationContext::new(&self.baseline)
-                    .with_fine_tune_epochs(self.fine_tune_epochs)
-                    .with_tier(self.tier)
-                    .with_accuracy_tier(self.accuracy_tier);
+                    .with_fine_tune_epochs(self.fine_tune_epochs);
                 let detailed = evaluate_config_detailed(&ctx, config, self.salt)?;
                 let artifacts = (Arc::new(detailed.layers), detailed.sharing);
                 let mut guard = self.shard_for(&key).lock().expect("shard lock");
@@ -836,6 +766,7 @@ impl EvalEngine {
         self.full_synthesis.fetch_add(1, Ordering::Relaxed);
         let matches_fast_path = full.area_mm2 == point.area_mm2
             && full.power_uw == point.power_uw
+            && (point.delay_us.is_nan() || full.critical_path_us == point.delay_us)
             && full.gate_count == point.gate_count;
         Ok(FinalizedDesign {
             point,
@@ -954,42 +885,26 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_key_canonicalizes_float_noise() {
-        let tier = AccuracyTier::default();
-        let a = EvalKey::new(
-            &MinimizationConfig::default().with_sparsity(0.3),
-            4,
-            8,
-            0,
-            tier,
-        );
+        let a = EvalKey::new(&MinimizationConfig::default().with_sparsity(0.3), 4, 8, 0);
         let b = EvalKey::new(
             &MinimizationConfig::default().with_sparsity(0.30000000001),
             4,
             8,
             0,
-            tier,
         );
         assert_eq!(a, b);
-        let c = EvalKey::new(
-            &MinimizationConfig::default().with_sparsity(0.301),
-            4,
-            8,
-            0,
-            tier,
-        );
+        let c = EvalKey::new(&MinimizationConfig::default().with_sparsity(0.301), 4, 8, 0);
         assert_ne!(a, c);
     }
 
     #[test]
-    fn cache_key_separates_budgets_salts_and_tiers() {
+    fn cache_key_separates_budgets_and_salts() {
         let config = MinimizationConfig::default().with_weight_bits(4);
-        let tier = AccuracyTier::Integer;
-        let base = EvalKey::new(&config, 4, 8, 0, tier);
-        assert_ne!(base, EvalKey::new(&config, 4, 2, 0, tier));
-        assert_ne!(base, EvalKey::new(&config, 6, 8, 0, tier));
-        assert_ne!(base, EvalKey::new(&config, 4, 8, 7, tier));
-        assert_ne!(base, EvalKey::new(&config, 4, 8, 0, AccuracyTier::Float));
-        assert_eq!(base, EvalKey::new(&config, 4, 8, 0, tier));
+        let base = EvalKey::new(&config, 4, 8, 0);
+        assert_ne!(base, EvalKey::new(&config, 4, 2, 0));
+        assert_ne!(base, EvalKey::new(&config, 6, 8, 0));
+        assert_ne!(base, EvalKey::new(&config, 4, 8, 7));
+        assert_eq!(base, EvalKey::new(&config, 4, 8, 0));
     }
 
     #[test]

@@ -33,23 +33,14 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// Baseline training budget for this effort level. `Quick` also swaps the
-    /// baseline's hardware characterization to the bit-identical analytic
-    /// fast path (full synthesis of the reference circuit is the single most
-    /// expensive hardware step of a smoke run; the equivalence suite pins the
-    /// two tiers to each other).
-    ///
-    /// Both efforts keep the default
-    /// [accuracy tier](crate::objective::AccuracyTier): baseline and candidate
-    /// accuracies are measured by pure-integer inference — the exact
-    /// arithmetic of the printed circuit — not by the fake-quantized float
-    /// model.
+    /// Baseline training budget for this effort level. Both efforts
+    /// characterize the baseline circuit by full gate-level synthesis and
+    /// measure its accuracy by pure-integer inference.
     pub fn baseline_config(self) -> BaselineConfig {
         match self {
             Effort::Full => BaselineConfig::default(),
             Effort::Quick => BaselineConfig {
                 epochs: 12,
-                synthesis_tier: crate::objective::SynthesisTier::FastPath,
                 ..BaselineConfig::default()
             },
         }
@@ -86,10 +77,10 @@ impl Effort {
     /// Whether Pareto-front finalists are re-verified through full gate-level
     /// synthesis after the fast-path search.
     ///
-    /// `Full` runs verify every finalist (the second tier of the two-tier
-    /// evaluation scheme); `Quick` runs skip it — CI smoke tests rely on the
-    /// fast-path/full-synthesis equivalence test suite instead, keeping the
-    /// smoke budget proportional to the analytic cost model.
+    /// `Full` runs verify every finalist; `Quick` runs skip it — CI smoke
+    /// tests rely on the fast-path/full-synthesis equivalence test suite
+    /// instead, keeping the smoke budget proportional to the analytic cost
+    /// model.
     pub fn verify_finalists(self) -> bool {
         match self {
             Effort::Full => true,

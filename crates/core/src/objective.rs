@@ -1,54 +1,15 @@
-//! Evaluation of one minimization configuration: software accuracy plus
-//! bespoke-circuit area/power via the hardware model.
+//! Evaluation of one minimization configuration: the accuracy its bespoke
+//! circuit computes (pure-integer inference) plus its area, power and delay
+//! (the analytic fast-path cost model).
 
 use crate::baseline::BaselineDesign;
-use crate::bridge::{circuit_spec_from_layers, estimate_area, synthesize_area};
+use crate::bridge::{circuit_spec_from_layers, estimate_area};
 use crate::error::CoreError;
 use pmlp_hw::{IntInferEngine, SharingStrategy};
 use pmlp_minimize::{minimize, IntegerLayer, MinimizationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Which hardware model a candidate evaluation runs through.
-///
-/// The two tiers produce bit-for-bit identical numbers (the fast path mirrors
-/// synthesis gate for gate; the equivalence suite asserts exact equality) —
-/// they differ only in cost and in whether a netlist exists afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SynthesisTier {
-    /// Analytic cost model ([`pmlp_hw::cost::estimate_circuit`]): no netlist,
-    /// an order of magnitude cheaper. The default for search loops.
-    #[default]
-    FastPath,
-    /// Full gate-level synthesis ([`pmlp_hw::BespokeMlpCircuit`]): builds the
-    /// netlist. Used for the baseline, Pareto-front finalists and anything
-    /// that needs simulation or Verilog export.
-    FullSynthesis,
-}
-
-/// Which arithmetic measures a candidate's test accuracy.
-///
-/// Both tiers consume the *same* test inputs — features snapped to the
-/// circuit's unsigned `input_bits` grid — so the only difference is the
-/// arithmetic: `f32` with fake-quantized weights versus the exact integer
-/// recurrence the printed circuit implements. The differential suite holds
-/// the two together on every registry dataset; the integer tier is
-/// additionally proven bit-identical to gate-level netlist simulation by the
-/// `intinfer_vs_netlist` battery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum AccuracyTier {
-    /// The minimized float model (fake-quantized weights) evaluated in `f32`
-    /// on the quantized test set. Kept for the float-vs-hardware ablation
-    /// and as a cross-check of the integer engine.
-    Float,
-    /// Pure-integer inference over the minimized integer layers
-    /// ([`pmlp_hw::intinfer`]) — the exact arithmetic of the bespoke
-    /// circuit. The default: search, sweeps and campaigns score candidates
-    /// on what the hardware will actually compute.
-    #[default]
-    Integer,
-}
 
 /// Everything needed to evaluate candidate configurations against a baseline.
 #[derive(Debug, Clone)]
@@ -57,23 +18,14 @@ pub struct EvaluationContext<'a> {
     /// Fine-tuning epochs granted to every candidate (kept small inside the
     /// GA loop, larger for the final sweeps).
     pub fine_tune_epochs: usize,
-    /// Which hardware model scores the candidates (fast path by default).
-    pub tier: SynthesisTier,
-    /// Which arithmetic measures candidate accuracy. Defaults to the tier
-    /// the baseline itself was scored with, so normalized accuracies always
-    /// compare like with like.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl<'a> EvaluationContext<'a> {
-    /// Creates a context with the default fine-tuning budget (8 epochs), the
-    /// fast-path hardware model, and the baseline's accuracy tier.
+    /// Creates a context with the default fine-tuning budget (8 epochs).
     pub fn new(baseline: &'a BaselineDesign) -> Self {
         EvaluationContext {
             baseline,
             fine_tune_epochs: 8,
-            tier: SynthesisTier::default(),
-            accuracy_tier: baseline.accuracy_tier,
         }
     }
 
@@ -81,22 +33,6 @@ impl<'a> EvaluationContext<'a> {
     #[must_use]
     pub fn with_fine_tune_epochs(mut self, epochs: usize) -> Self {
         self.fine_tune_epochs = epochs;
-        self
-    }
-
-    /// Overrides the hardware-model tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: SynthesisTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Overrides the accuracy-measurement tier. Normalized accuracies stay
-    /// meaningful only when this matches the tier the baseline was scored
-    /// with ([`crate::baseline::BaselineConfig::accuracy_tier`]).
-    #[must_use]
-    pub fn with_accuracy_tier(mut self, tier: AccuracyTier) -> Self {
-        self.accuracy_tier = tier;
         self
     }
 
@@ -506,9 +442,12 @@ impl ObjectiveSpace {
 /// Evaluates `config` against the baseline in `ctx`.
 ///
 /// The candidate is produced by running the full minimization pipeline
-/// (prune → cluster → QAT) on a copy of the baseline's float model, its
-/// accuracy is measured on the held-out test split, and its bespoke circuit is
-/// synthesized with multiplier sharing enabled exactly when the configuration
+/// (prune → cluster → QAT) on a copy of the baseline's float model. Its
+/// accuracy is measured on the held-out test split by pure-integer inference
+/// ([`integer_accuracy`]), the exact arithmetic of the printed circuit. Its
+/// bespoke circuit is priced by the analytic fast path
+/// ([`pmlp_hw::cost::estimate_circuit`]), which matches full synthesis bit for
+/// bit, with multiplier sharing enabled exactly when the configuration
 /// clusters weights.
 ///
 /// `salt` perturbs the fine-tuning RNG so repeated evaluations of the same
@@ -526,8 +465,8 @@ pub fn evaluate_config(
     evaluate_config_detailed(ctx, config, salt).map(|detailed| detailed.point)
 }
 
-/// One evaluated design together with the artefacts the two-tier engine needs
-/// to finalize it later: the minimized integer layers (so Pareto-front
+/// One evaluated design together with the artefacts the engine needs to
+/// finalize it later: the minimized integer layers (so Pareto-front
 /// finalists can run full synthesis without re-training) and the sharing
 /// strategy the hardware model used.
 #[derive(Debug, Clone)]
@@ -571,30 +510,19 @@ pub fn evaluate_config_detailed(
     } else {
         SharingStrategy::None
     };
-    let accuracy = match ctx.accuracy_tier {
-        AccuracyTier::Float => minimized.accuracy(&baseline.quantized_test),
-        AccuracyTier::Integer => integer_accuracy(
-            &minimized.integer_layers,
-            config.input_bits,
-            sharing,
-            &baseline.test_rows,
-            baseline.test.labels(),
-        )?,
-    };
-    let synthesis = match ctx.tier {
-        SynthesisTier::FastPath => estimate_area(
-            &minimized.integer_layers,
-            config.input_bits,
-            &baseline.library,
-            sharing,
-        )?,
-        SynthesisTier::FullSynthesis => synthesize_area(
-            &minimized.integer_layers,
-            config.input_bits,
-            &baseline.library,
-            sharing,
-        )?,
-    };
+    let accuracy = integer_accuracy(
+        &minimized.integer_layers,
+        config.input_bits,
+        sharing,
+        &baseline.test_rows,
+        baseline.test.labels(),
+    )?;
+    let synthesis = estimate_area(
+        &minimized.integer_layers,
+        config.input_bits,
+        &baseline.library,
+        sharing,
+    )?;
 
     let point = DesignPoint {
         config,
@@ -648,8 +576,11 @@ pub fn integer_accuracy(
     Ok(engine.accuracy(rows, labels))
 }
 
-/// Deterministic hash of a configuration, used to derive per-candidate seeds.
-fn config_hash(config: &MinimizationConfig) -> u64 {
+/// Deterministic hash of a configuration, used to derive per-candidate seeds:
+/// [`evaluate_config_detailed`] seeds a candidate's fine-tuning RNG with
+/// `baseline.seed ^ salt ^ config_hash(config)`, after setting the config's
+/// input bits and fine-tuning budget.
+pub fn config_hash(config: &MinimizationConfig) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
         h ^= v;
@@ -725,20 +656,29 @@ mod tests {
     #[test]
     fn fast_path_and_full_synthesis_tiers_agree_exactly() {
         let baseline = baseline();
-        let fast_ctx = EvaluationContext::new(&baseline).with_fine_tune_epochs(2);
-        let full_ctx = EvaluationContext::new(&baseline)
-            .with_fine_tune_epochs(2)
-            .with_tier(SynthesisTier::FullSynthesis);
-        assert_eq!(fast_ctx.tier, SynthesisTier::FastPath);
+        let ctx = EvaluationContext::new(&baseline).with_fine_tune_epochs(2);
         for config in [
             MinimizationConfig::baseline(),
             MinimizationConfig::default().with_weight_bits(3),
             MinimizationConfig::default().with_sparsity(0.5),
             MinimizationConfig::default().with_clusters(3),
         ] {
-            let fast = evaluate_config(&fast_ctx, &config, 1).unwrap();
-            let full = evaluate_config(&full_ctx, &config, 1).unwrap();
-            assert_eq!(fast, full, "tier mismatch for {config:?}");
+            let detailed = evaluate_config_detailed(&ctx, &config, 1).unwrap();
+            let full = crate::bridge::synthesize_area(
+                &detailed.layers,
+                baseline.input_bits,
+                &baseline.library,
+                detailed.sharing,
+            )
+            .unwrap();
+            let point = &detailed.point;
+            assert_eq!(full.area_mm2, point.area_mm2, "area for {config:?}");
+            assert_eq!(full.power_uw, point.power_uw, "power for {config:?}");
+            assert_eq!(
+                full.critical_path_us, point.delay_us,
+                "delay for {config:?}"
+            );
+            assert_eq!(full.gate_count, point.gate_count, "gates for {config:?}");
         }
     }
 

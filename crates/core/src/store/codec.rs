@@ -371,4 +371,30 @@ mod tests {
             prop_assert_eq!(decoded, Some((layers, sharing)));
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn arbitrary_strings_never_panic_the_decoder(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            let decoded = decode_artifacts(&text);
+            if !text.bytes().all(|c| B64.contains(&c)) {
+                prop_assert_eq!(decoded, None);
+            }
+        }
+
+        #[test]
+        fn arbitrary_payloads_behind_a_valid_header_never_panic_the_decoder(
+            sharing in 0u8..3,
+            payload in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            // A well-formed version and sharing byte take random bytes past
+            // the header checks and into the layer decoder.
+            let mut bytes = vec![CODEC_VERSION, sharing];
+            bytes.extend_from_slice(&payload);
+            let _ = decode_artifacts(&b64_encode(&bytes));
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //!
 //! Every candidate evaluation in this workspace is deterministic and keyed by
 //! a canonical [`EvalKey`] (quantization bits, sparsity grid cell, cluster
-//! count, input precision, fine-tuning budget, RNG salt, accuracy tier) under a
+//! count, input precision, fine-tuning budget, RNG salt) under a
 //! [`BaselineDesign::fingerprint`](crate::baseline::BaselineDesign::fingerprint).
 //! That `(fingerprint, key)` pair is a **content address**: the persistence
 //! subsystem stores scored design points (plus compressed finalization
@@ -94,7 +94,7 @@ pub use tiered::{BreakerConfig, TieredStats, TieredStore};
 
 use crate::engine::EvalKey;
 use crate::error::CoreError;
-use crate::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+use crate::objective::DesignPoint;
 use pmlp_hw::SharingStrategy;
 use pmlp_minimize::IntegerLayer;
 use serde::json::{self, Value};
@@ -114,6 +114,17 @@ pub const STORE_VERSION: u32 = 1;
 /// Magic string of the store header line.
 const STORE_MAGIC: &str = "pmlp-eval-store";
 
+/// The `accuracy_tier` every record key carries: accuracy measured by
+/// pure-integer inference. Together with [`COST_MODEL_TAG`] it is written as
+/// a constant, kept so that stores and servers from before and after the
+/// removal of the selectable accuracy and hardware-model tiers read each
+/// other's records.
+const ACCURACY_TAG: &str = "Integer";
+
+/// The top-level `tier` every record carries: cost priced by the analytic
+/// fast path. See [`ACCURACY_TAG`].
+const COST_MODEL_TAG: &str = "FastPath";
+
 /// The artifacts finalization needs, persisted next to a hot design point so
 /// that [`EvalEngine::finalize`](crate::engine::EvalEngine::finalize) of a
 /// store-warmed Pareto finalist runs full synthesis directly instead of
@@ -126,16 +137,12 @@ pub struct EvalArtifacts {
     pub sharing: SharingStrategy,
 }
 
-/// One persisted evaluation: the canonical cache key, the hardware-model tier
-/// that produced it (the two tiers are bit-for-bit identical, recorded for
-/// the audit trail), the scored design point and, when available, the
-/// compressed finalization artifacts.
+/// One persisted evaluation: the canonical cache key, the scored design
+/// point and, when available, the compressed finalization artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalRecord {
     /// Canonical identity of the evaluated configuration under its engine.
     pub key: EvalKey,
-    /// Which hardware model scored the point.
-    pub tier: SynthesisTier,
     /// The scored design point.
     pub point: DesignPoint,
     /// Minimized layers + sharing strategy (`None` for records written
@@ -294,14 +301,11 @@ pub fn record_line(record: &EvalRecord) -> String {
             Value::Number(record.key.fine_tune_epochs as f64),
         ),
         ("salt".into(), Value::String(hex(record.key.salt))),
-        (
-            "accuracy_tier".into(),
-            record.key.accuracy_tier.serialize_value(),
-        ),
+        ("accuracy_tier".into(), Value::String(ACCURACY_TAG.into())),
     ]);
     let mut entries = vec![
         ("key".into(), key),
-        ("tier".into(), record.tier.serialize_value()),
+        ("tier".into(), Value::String(COST_MODEL_TAG.into())),
         ("point".into(), record.point.serialize_value()),
     ];
     if let Some(artifacts) = &record.artifacts {
@@ -317,10 +321,17 @@ pub fn record_line(record: &EvalRecord) -> String {
 /// `artifacts` blob yields a record without artifacts (the design point is
 /// the scientific payload; artifacts are a regenerable optimization), while
 /// a damaged key/point is an error the caller counts as a dropped record.
+/// The top-level `tier` is ignored.
+///
+/// A key whose `accuracy_tier` is absent or not `"Integer"` is an error too:
+/// such records were scored by the fake-quantized float model, whose
+/// accuracies are not comparable with integer-scored ones. Replay drops (and
+/// quarantines) them like any other unusable line.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Store`] for malformed JSON or a damaged key/point.
+/// Returns [`CoreError::Store`] for malformed JSON, a damaged key/point or a
+/// float-scored record.
 pub fn parse_record_line(line: &str) -> Result<EvalRecord, CoreError> {
     record_from_line_inner(line).map_err(|e| CoreError::Store {
         context: format!("bad record line: {e}"),
@@ -337,13 +348,13 @@ fn record_from_line_inner(line: &str) -> Result<EvalRecord, json::Error> {
         input_bits: u8::deserialize_value(key_value.field("input_bits")?)?,
         fine_tune_epochs: usize::deserialize_value(key_value.field("fine_tune_epochs")?)?,
         salt: parse_hex(key_value.field("salt")?)?,
-        // Records written before the accuracy-tier field existed were all
-        // scored on the fake-quantized float model.
-        accuracy_tier: match key_value.get("accuracy_tier") {
-            Some(v) => AccuracyTier::deserialize_value(v)?,
-            None => AccuracyTier::Float,
-        },
     };
+    // Records written before the tag existed were all float-scored.
+    if key_value.get("accuracy_tier").and_then(Value::as_str) != Some(ACCURACY_TAG) {
+        return Err(json::Error::custom(
+            "record was not scored by integer inference",
+        ));
+    }
     let artifacts = value
         .get("artifacts")
         .and_then(Value::as_str)
@@ -351,7 +362,6 @@ fn record_from_line_inner(line: &str) -> Result<EvalRecord, json::Error> {
         .map(|(layers, sharing)| EvalArtifacts { layers, sharing });
     Ok(EvalRecord {
         key,
-        tier: SynthesisTier::deserialize_value(value.field("tier")?)?,
         point: DesignPoint::deserialize_value(value.field("point")?)?,
         artifacts,
     })
@@ -671,9 +681,7 @@ pub(crate) mod tests {
                 input_bits: 4,
                 fine_tune_epochs: 2,
                 salt: 0xDEAD_BEEF_DEAD_BEEF,
-                accuracy_tier: AccuracyTier::Integer,
             },
-            tier: SynthesisTier::FastPath,
             point: DesignPoint {
                 config,
                 accuracy,
@@ -769,6 +777,33 @@ pub(crate) mod tests {
             r#"{"key":{"weight_bits":4,"sparsity_millis":4294967295,"clusters":0,"input_bits":4,"fine_tune_epochs":2,"salt":"deadbeefdeadbeef","accuracy_tier":"Integer"},"tier":"FastPath","point":{"config":{"weight_bits":4,"sparsity":null,"clusters_per_input":null,"input_bits":4,"fine_tune_epochs":10},"accuracy":0.85,"area_mm2":50,"power_uw":500,"delay_us":2,"normalized_accuracy":0.9444444444444444,"normalized_area":0.5,"sparsity":0,"gate_count":350},"artifacts":"AQEBBAAAAD4CAwIDBgMAAAgCAQQ"}"#
         );
         assert_eq!(parse_record_line(&line).unwrap(), with);
+    }
+
+    #[test]
+    fn float_scored_records_fail_to_parse_and_replay_drops_them() {
+        let valid = record(4, 0.85, 50.0);
+        let line = record_line(&valid);
+        let float = line.replace(r#""accuracy_tier":"Integer""#, r#""accuracy_tier":"Float""#);
+        let untagged = line.replace(r#","accuracy_tier":"Integer""#, "");
+        assert_ne!(float, line);
+        assert!(!untagged.contains("accuracy_tier"));
+        assert!(parse_record_line(&float).is_err(), "float-scored");
+        assert!(parse_record_line(&untagged).is_err(), "untagged legacy");
+
+        for legacy in [&float, &untagged] {
+            let dir = temp_dir("float-legacy");
+            let path = {
+                let store = EvalStore::open(&dir, "Seeds", 0xF1).unwrap();
+                store.append(&valid).unwrap();
+                store.path().expect("local store has a path")
+            };
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, format!("{text}{legacy}\n")).unwrap();
+            let mut store = EvalStore::open(&dir, "Seeds", 0xF1).unwrap();
+            assert_eq!(store.dropped_records(), 1);
+            assert_eq!(store.warm_start(), vec![valid.clone()]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -997,14 +1032,7 @@ mod proptests {
                 input_bits: 4,
                 fine_tune_epochs: 2,
                 salt,
-                // Exercise both tiers across the strategy space.
-                accuracy_tier: if bits.is_multiple_of(2) {
-                    AccuracyTier::Integer
-                } else {
-                    AccuracyTier::Float
-                },
             },
-            tier: SynthesisTier::FastPath,
             point: DesignPoint {
                 config,
                 accuracy,
@@ -1061,6 +1089,40 @@ mod proptests {
             let survivors = store.warm_start();
             prop_assert_eq!(&records[..records.len() - 1], &survivors[..]);
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn arbitrary_bytes_never_parse_as_a_record(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            prop_assert!(parse_record_line(&text).is_err());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn damaged_record_lines_fail_without_panicking(
+            raw in (0u8..9, 0.0f64..0.9, 0usize..9, 0.0f64..1.0, 0.001f64..500.0, 0u64..=u64::MAX),
+            cut_seed in 0usize..4096,
+            flip_seed in 0usize..4096,
+            flip_byte in 0u8..=255,
+        ) {
+            let (b, s, c, acc, area, salt) = raw;
+            let line = record_line(&build_record(b, s, c, acc, area, salt));
+            // Any strict prefix leaves the outer object unclosed.
+            let cut = cut_seed % line.len();
+            prop_assert!(parse_record_line(&line[..cut]).is_err());
+            // A flipped byte may still spell a valid record (a digit for a
+            // digit), so only the absence of a panic is asserted.
+            let mut bytes = line.into_bytes();
+            let at = flip_seed % bytes.len();
+            bytes[at] = flip_byte;
+            let _ = parse_record_line(&String::from_utf8_lossy(&bytes));
         }
     }
 

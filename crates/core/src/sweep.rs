@@ -6,9 +6,8 @@
 //! counts.
 //!
 //! Accuracy numbers come from whatever [`Evaluator`] backs the sweep; through
-//! the production [`EvalEngine`](crate::engine::EvalEngine) that means the
-//! engine's [accuracy tier](crate::objective::AccuracyTier) — by default the
-//! pure-integer arithmetic of the bespoke circuit itself.
+//! the production [`EvalEngine`](crate::engine::EvalEngine) that means
+//! pure-integer inference — the arithmetic of the bespoke circuit itself.
 
 use crate::engine::Evaluator;
 use crate::error::CoreError;

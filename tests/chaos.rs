@@ -8,7 +8,7 @@
 use printed_mlp::core::campaign::{Campaign, CampaignConfig, CampaignResult, CampaignRunStats};
 use printed_mlp::core::engine::EvalKey;
 use printed_mlp::core::experiment::{Effort, Figure1Experiment};
-use printed_mlp::core::objective::{AccuracyTier, DesignPoint, SynthesisTier};
+use printed_mlp::core::objective::DesignPoint;
 use printed_mlp::core::store::{
     open_backend_opts, BackendOptions, BreakerConfig, EvalRecord, LocalJsonlBackend, RemoteBackend,
     StoreBackend,
@@ -49,7 +49,6 @@ fn chaos_config(
         seed: SEED,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(local.to_path_buf()),
         remote_store: remote,
         remote_timeout_ms: Some(2_000),
@@ -108,9 +107,7 @@ fn record(bits: u8, accuracy: f64) -> EvalRecord {
             input_bits: 4,
             fine_tune_epochs: 2,
             salt: 0xFEED_FACE_CAFE_BEEF,
-            accuracy_tier: AccuracyTier::Integer,
         },
-        tier: SynthesisTier::FastPath,
         point: DesignPoint {
             config: MinimizationConfig::default().with_weight_bits(bits),
             accuracy,

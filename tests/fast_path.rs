@@ -1,15 +1,13 @@
-//! Integration tests of the two-tier evaluation scheme: the analytic
-//! fast-path cost model must be indistinguishable from full gate-level
-//! synthesis everywhere the search can observe it, and the engine must
-//! account for which tier every evaluation ran through.
+//! Integration tests of the fast-path cost model: every search candidate is
+//! priced analytically, and finalization re-synthesizes it gate by gate. The
+//! two must be indistinguishable everywhere the search can observe them.
 
 use printed_mlp::core::baseline::BaselineConfig;
 use printed_mlp::core::engine::{EvalEngine, Evaluator};
-use printed_mlp::core::objective::SynthesisTier;
 use printed_mlp::data::UciDataset;
 use printed_mlp::minimize::MinimizationConfig;
 
-fn quick_engine(tier: SynthesisTier) -> EvalEngine {
+fn quick_engine() -> EvalEngine {
     EvalEngine::train_with(
         UciDataset::Seeds,
         13,
@@ -20,7 +18,6 @@ fn quick_engine(tier: SynthesisTier) -> EvalEngine {
     )
     .unwrap()
     .with_fine_tune_epochs(2)
-    .with_synthesis_tier(tier)
 }
 
 fn candidate_configs() -> Vec<MinimizationConfig> {
@@ -38,26 +35,8 @@ fn candidate_configs() -> Vec<MinimizationConfig> {
 }
 
 #[test]
-fn fast_path_engine_reproduces_full_synthesis_engine_exactly() {
-    let fast = quick_engine(SynthesisTier::FastPath);
-    let full = quick_engine(SynthesisTier::FullSynthesis);
-    assert_eq!(fast.synthesis_tier(), SynthesisTier::FastPath);
-    for config in candidate_configs() {
-        let a = fast.evaluate(&config).unwrap();
-        let b = full.evaluate(&config).unwrap();
-        assert_eq!(a, b, "tier divergence for {}", config.describe());
-    }
-    let stats_fast = fast.stats();
-    let stats_full = full.stats();
-    assert_eq!(stats_fast.fast_path, candidate_configs().len());
-    assert_eq!(stats_fast.full_synthesis, 0);
-    assert_eq!(stats_full.fast_path, 0);
-    assert_eq!(stats_full.full_synthesis, candidate_configs().len());
-}
-
-#[test]
 fn finalize_verifies_the_fast_path_against_a_real_netlist() {
-    let engine = quick_engine(SynthesisTier::FastPath);
+    let engine = quick_engine();
     for config in candidate_configs() {
         let finalized = engine.finalize(&config).unwrap();
         assert!(
@@ -67,12 +46,12 @@ fn finalize_verifies_the_fast_path_against_a_real_netlist() {
         );
         assert_eq!(finalized.full.area_mm2, finalized.point.area_mm2);
         assert_eq!(finalized.full.power_uw, finalized.point.power_uw);
+        assert_eq!(finalized.full.critical_path_us, finalized.point.delay_us);
         assert_eq!(finalized.full.gate_count, finalized.point.gate_count);
     }
     let stats = engine.stats();
-    // Every candidate went through the fast path once and full synthesis once
-    // (the finalist verification).
-    assert_eq!(stats.fast_path, candidate_configs().len());
+    // Every candidate was priced by the fast path once (a miss) and
+    // re-synthesized once (the finalist verification).
     assert_eq!(stats.full_synthesis, candidate_configs().len());
     // Finalization reuses the cached minimized layers instead of re-running
     // the pipeline.
@@ -80,8 +59,57 @@ fn finalize_verifies_the_fast_path_against_a_real_netlist() {
 }
 
 #[test]
+fn finalize_checks_delay_unless_the_point_predates_it() {
+    use printed_mlp::core::engine::EvalKey;
+    use printed_mlp::core::store::{EvalRecord, MemoryBackend, StoreBackend};
+
+    // A fresh point whose delay the fast path got wrong must fail the check.
+    let engine = quick_engine();
+    let config = MinimizationConfig::default().with_weight_bits(4);
+    let fresh = engine.evaluate(&config).unwrap();
+    let key = EvalKey {
+        weight_bits: 4,
+        sparsity_millis: u32::MAX,
+        clusters: 0,
+        input_bits: engine.baseline().input_bits,
+        fine_tune_epochs: engine.fine_tune_epochs(),
+        salt: 0,
+    };
+    let seed_store = |delay_us: f64| {
+        let backend = MemoryBackend::new();
+        let record = EvalRecord {
+            key,
+            point: printed_mlp::core::DesignPoint {
+                delay_us,
+                ..fresh.clone()
+            },
+            artifacts: None,
+        };
+        let name = engine.baseline().dataset.to_string();
+        backend
+            .append(&name, engine.fingerprint(), &record)
+            .unwrap();
+        quick_engine().with_backend(Box::new(backend)).unwrap()
+    };
+
+    let skewed = seed_store(fresh.delay_us * 2.0);
+    assert_eq!(skewed.stats().warmed, 1);
+    let finalized = skewed.finalize(&config).unwrap();
+    assert_eq!(finalized.point.delay_us, fresh.delay_us * 2.0);
+    assert!(!finalized.matches_fast_path, "a wrong delay must be caught");
+
+    // A point loaded from a record written before delay was persisted has a
+    // NaN delay; it still matches on area, power and gate count.
+    let legacy = seed_store(f64::NAN);
+    let finalized = legacy.finalize(&config).unwrap();
+    assert!(finalized.point.delay_us.is_nan());
+    assert!(finalized.matches_fast_path);
+    assert_eq!(finalized.full.critical_path_us, fresh.delay_us);
+}
+
+#[test]
 fn multiplier_cache_fills_and_reports_hits() {
-    let engine = quick_engine(SynthesisTier::FastPath);
+    let engine = quick_engine();
     let _ = engine
         .evaluate(&MinimizationConfig::default().with_weight_bits(5))
         .unwrap();
@@ -94,31 +122,4 @@ fn multiplier_cache_fills_and_reports_hits() {
         "hit rate {}",
         stats.multiplier_cache_hit_rate()
     );
-}
-
-#[test]
-fn quick_baseline_fast_path_matches_full_synthesis_baseline() {
-    use printed_mlp::core::experiment::Effort;
-    // The Quick effort characterizes the baseline circuit through the fast
-    // path; the numbers must equal a full-synthesis characterization.
-    let quick_cfg = Effort::Quick.baseline_config();
-    assert_eq!(quick_cfg.synthesis_tier, SynthesisTier::FastPath);
-    let full_cfg = BaselineConfig {
-        synthesis_tier: SynthesisTier::FullSynthesis,
-        ..quick_cfg.clone()
-    };
-    let a = printed_mlp::core::baseline::BaselineDesign::train_with(
-        UciDataset::Vertebral,
-        3,
-        &quick_cfg,
-    )
-    .unwrap();
-    let b = printed_mlp::core::baseline::BaselineDesign::train_with(
-        UciDataset::Vertebral,
-        3,
-        &full_cfg,
-    )
-    .unwrap();
-    assert_eq!(a.synthesis, b.synthesis);
-    assert_eq!(a.accuracy, b.accuracy);
 }

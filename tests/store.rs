@@ -26,7 +26,6 @@ fn store_campaign(datasets: Vec<UciDataset>, store: &Path, resume: bool) -> Camp
         seed: 11,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(store.to_path_buf()),
         remote_store: None,
         remote_timeout_ms: None,
@@ -234,7 +233,6 @@ fn gc_prunes_a_real_campaign_store() {
         seed: 12,
         max_accuracy_loss: 0.05,
         objectives: Default::default(),
-        accuracy_tier: printed_mlp::core::AccuracyTier::default(),
         store_dir: Some(store.to_path_buf()),
         remote_store: None,
         remote_timeout_ms: None,
